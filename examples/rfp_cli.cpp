@@ -13,19 +13,22 @@
 //       Floorplan the problem through the rfp::driver dispatch. Options:
 //         --algo NAME            backend: search (default, exact), milp-o,
 //                                milp-ho, heuristic, annealer — or
-//                                "portfolio" to run them cooperatively
-//                                (shared incumbents, staged deadlines) and
-//                                keep the best/proven result
+//                                "portfolio" to race them cooperatively
+//                                (shared incumbents; the first proof
+//                                cancels the rest) and keep the
+//                                best/proven result
 //         --threads N            in-solve parallelism: work-stealing B&B
 //                                workers inside the exact search and MILP
 //                                backends (default 4)
 //         --thread-budget N      shared cap across all parallelism (pool ×
 //                                in-solve workers never exceeds N; 0 = none)
 //         --time-limit S         wall-clock deadline for the whole solve
-//         --stage1-fraction F    portfolio: fraction of the deadline granted
-//                                to the incomplete engines before the
-//                                provers inherit the rest (default 0.25;
-//                                0 = flat race)
+//         --stage1-fraction F    portfolio: stage the race — the incomplete
+//                                engines get this fraction of the deadline
+//                                before the provers inherit the rest
+//                                (default 0 = one flat race with every
+//                                member at once; staging suits machines
+//                                with fewer cores than members)
 //         --no-exchange          portfolio: disable the shared-incumbent
 //                                channel (blind race, for A/B comparisons)
 //         --cache-size N         result-cache capacity in entries
@@ -137,7 +140,7 @@ struct SolveArgs {
   int threads = 4;
   int thread_budget = 0;
   double time_limit = 0.0;
-  double stage1_fraction = 0.25;
+  double stage1_fraction = 0.0;  ///< > 0 opts the portfolio into staging
   bool incumbent_exchange = true;
   std::size_t cache_entries = 128;
   bool use_cache = true;
@@ -172,7 +175,7 @@ int cmdSolve(const std::string& device_spec, const std::string& problem_path,
   request.deadline_seconds = args.time_limit;
   request.incumbent_exchange = args.incumbent_exchange;
   request.staged_deadlines = args.stage1_fraction > 0;
-  request.stage1_fraction = args.stage1_fraction;
+  if (request.staged_deadlines) request.stage1_fraction = args.stage1_fraction;
   request.use_cache = args.use_cache;
   // The MILP stages are open-ended without a budget; keep the CLI snappy.
   if (args.time_limit <= 0) request.milp.time_limit_seconds = 60.0;
@@ -317,7 +320,7 @@ int usage() {
                "  rfp_cli solve <device> <problem-file> [--threads N] [--thread-budget N]\n"
                "                [--time-limit S]\n"
                "                [--algo search|milp-o|milp-ho|heuristic|annealer|portfolio]\n"
-               "                [--stage1-fraction F] [--no-exchange]\n"
+               "                [--stage1-fraction F (> 0 stages the portfolio)] [--no-exchange]\n"
                "                [--cache-size N] [--no-cache]\n"
                "                [--svg FILE] [--json FILE] [--trace FILE] [--metrics]\n"
                "                [--progress S] [--log-file FILE]\n"

@@ -8,14 +8,15 @@
 // execution modes:
 //
 //  * single    — dispatch to one backend (Driver::solve),
-//  * portfolio — run several backends on std::thread, cooperating through a
-//    SharedIncumbent exchange channel next to the shared stop flag: the
-//    incomplete engines publish improving floorplans mid-run, the provers
-//    consume them as objective cutoffs and publish back, the first proof
-//    cancels the rest, and at the deadline the best incumbent wins. With a
-//    deadline, the race is staged: the incomplete engines get a short first
-//    slice whose incumbent seeds the provers' cutoff, then the provers
-//    inherit the remaining budget (Driver::solvePortfolio),
+//  * portfolio — race several backends at once, one thread each (the
+//    calling thread runs the first), cooperating through a SharedIncumbent
+//    exchange channel next to the shared stop flag: the incomplete engines
+//    publish improving floorplans mid-run, the provers consume them as
+//    objective cutoffs and publish back, the first proof cancels the rest,
+//    and at the deadline the best incumbent wins (Driver::solvePortfolio).
+//    Staging the race — incomplete engines on a short first slice, provers
+//    after — is opt-in (SolveRequest::staged_deadlines), for machines with
+//    fewer cores than members,
 //  * batch     — solve N problems across a thread pool for throughput
 //    (Driver::solveBatch); per-problem results are independent of the pool
 //    size. An external stop flag and an overall deadline cancel the whole
@@ -89,20 +90,27 @@ struct SolveRequest {
   /// result is never worse than the blind race — an adopted incumbent only
   /// tightens pruning and arbitration already ranked published plans.
   bool incumbent_exchange = true;
-  /// Portfolio: staged deadline splitting. With a deadline, an exchange
-  /// channel, and a portfolio mixing incomplete engines with provers, the
-  /// incomplete engines run first on `stage1_fraction * deadline_seconds`
-  /// (they typically finish earlier on their own limits), their best
-  /// incumbent seeds the provers' cutoff, and the provers inherit the whole
-  /// remaining budget. Without a deadline (or with the fraction at 0) every
-  /// backend races concurrently.
-  bool staged_deadlines = true;
-  /// Fraction of `deadline_seconds` granted to the incomplete first stage.
+  /// Portfolio: staged deadline splitting, opt-in. Off (the default), every
+  /// member starts at once and the provers adopt channel incumbents mid-run
+  /// (the search polls every 256 nodes, MILP branch & bound at every node),
+  /// so the race takes about as long as its fastest prover. On, with a
+  /// deadline, an exchange channel, and a portfolio mixing incomplete
+  /// engines with provers, the incomplete engines run first on
+  /// `stage1_fraction * deadline_seconds` (they typically finish earlier on
+  /// their own limits), their best incumbent seeds the provers' cutoff, and
+  /// the provers inherit the whole remaining budget. Staging suits machines
+  /// with fewer cores than portfolio members, where a flat race would
+  /// time-slice the provers against the incomplete engines; with a core per
+  /// member it only adds stage 1's wait to every request.
+  bool staged_deadlines = false;
+  /// Staged portfolios: fraction of `deadline_seconds` granted to the
+  /// incomplete first stage (<= 0: no staging).
   double stage1_fraction = 0.25;
-  /// Absolute cap on the first stage's slice (<= 0: none). Members like HO
-  /// rarely finish before their slice expires, so without a cap a generous
-  /// deadline imposes `stage1_fraction * deadline` of latency before any
-  /// prover starts — even on instances the provers settle in seconds.
+  /// Staged portfolios: absolute cap on the first stage's slice (<= 0:
+  /// none). Members like HO rarely finish before their slice expires, so
+  /// without a cap a generous deadline imposes `stage1_fraction * deadline`
+  /// of latency before any prover starts — even on instances the provers
+  /// settle in seconds.
   double stage1_max_seconds = 10.0;
   /// Staged portfolios: end stage 1 as soon as the incumbent channel has
   /// gone *quiet* (no adopted publish) for this fraction of the stage-1
@@ -305,14 +313,15 @@ class Driver {
   [[nodiscard]] SolveResponse solve(const model::FloorplanProblem& problem,
                                     const SolveRequest& request) const;
 
-  /// Portfolio mode: run `request.portfolio` on std::thread, one per
-  /// backend, cooperating through a SharedIncumbent channel (see
-  /// SolveRequest::incumbent_exchange). A proven result (optimal/infeasible
-  /// from an exhaustive backend) cancels the others; otherwise everyone runs
-  /// to its limit and the best incumbent under the problem's objective wins.
-  /// With a deadline the race is staged (see SolveRequest::staged_deadlines):
-  /// incomplete engines first on a short slice, provers on the remainder
-  /// with the stage-1 incumbent as their cutoff.
+  /// Portfolio mode: race `request.portfolio` at once, one thread per
+  /// backend (the calling thread runs the first), cooperating through a
+  /// SharedIncumbent channel (see SolveRequest::incumbent_exchange). A
+  /// proven result (optimal/infeasible from an exhaustive backend) cancels
+  /// the others; otherwise everyone runs to its limit and the best
+  /// incumbent under the problem's objective wins. Staging is opt-in (see
+  /// SolveRequest::staged_deadlines): incomplete engines first on a short
+  /// slice, provers on the remainder with the stage-1 incumbent as their
+  /// cutoff.
   [[nodiscard]] SolveResponse solvePortfolio(const model::FloorplanProblem& problem,
                                              const SolveRequest& request) const;
 

@@ -1,26 +1,28 @@
 // Portfolio mode: cooperating backends on one problem.
 //
-// Every backend gets a shared cancellation flag and (unless disabled) a
-// SharedIncumbent exchange channel: the incomplete engines publish improving
-// floorplans mid-run, the provers consume them as objective cutoffs and
-// publish their own improvements back. A backend that *proves* its result
-// (optimal or infeasible, exhaustive engines only) sets the flag, which the
-// other engines observe at their next poll point and unwind from — so each
-// stage's wall clock tracks its fastest prover, not its slowest member
-// (a staged run additionally pays stage 1's slice, capped by
-// SolveRequest::stage1_max_seconds, before the provers start).
-// Without a proof, everyone runs to its own limit and the best incumbent
-// under the problem's objective wins.
+// By default the portfolio is one cooperative flat race. Every member starts
+// at t=0 on its own thread (the calling thread runs the first member rather
+// than idling in join()), with a shared cancellation flag and, unless
+// disabled, a SharedIncumbent exchange channel: the incomplete engines
+// publish improving floorplans mid-run, the provers adopt them as objective
+// cutoffs while they run (the search every 256 nodes, MILP branch & bound at
+// every node and dive) and publish their own improvements back — the paper's
+// fast-heuristic-feeds-exact-MILP combination, without making the provers
+// wait for it. A backend that *proves* its result (optimal or infeasible,
+// exhaustive engines only) sets the flag, which the other engines observe at
+// their next poll point and unwind from, so the race's wall clock tracks its
+// fastest prover, not its slowest member. Without a proof, everyone runs to
+// its own limit and the best incumbent under the problem's objective wins.
 //
-// With a deadline, the race is staged instead of flat: the incomplete
-// engines (annealer, heuristic, HO) run first on a short slice of the
-// budget, their best incumbent seeds the provers' cutoff through the
-// channel, and the provers inherit the entire remaining budget — the
-// paper's fast-heuristic-feeds-exact-MILP combination as a scheduling
-// policy. The slice itself is adaptive: a watchdog ends stage 1 as soon as
-// the incumbent channel has gone quiet for a configurable fraction of the
-// slice (HO in particular rarely finishes on its own, yet stops improving
-// the channel early), handing the saved time to the provers.
+// Staging is opt-in (SolveRequest::staged_deadlines), for machines with
+// fewer cores than members: with a deadline, the incomplete engines (annealer,
+// heuristic, HO) run first on a short slice of the budget, their best
+// incumbent seeds the provers' cutoff through the channel, and the provers
+// inherit the entire remaining budget. The slice is adaptive: a watchdog
+// ends stage 1 as soon as the incumbent channel has gone quiet for a
+// configurable fraction of the slice (HO in particular rarely finishes on
+// its own, yet stops improving the channel early). With a core per member
+// the slice is pure latency — the flat race finishes before it would end.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -45,29 +47,32 @@ const std::vector<Backend>& defaultPortfolio() {
   return kDefault;
 }
 
-/// Runs the members at `indices` concurrently, one thread per member. Each
-/// member that produces a proof raises the shared stop flag.
+/// Runs the members at `indices` concurrently, one thread per member, the
+/// calling thread taking the first. Each member that produces a proof
+/// raises the shared stop flag.
 void runStage(const model::FloorplanProblem& problem, const SolveRequest& request,
               const std::vector<Backend>& backends, const std::vector<std::size_t>& indices,
               std::atomic<bool>& stop, SharedIncumbent* channel,
               std::vector<SolveResponse>& responses) {
   // Each thread writes only its own element, and join() publishes the
   // writes before arbitration reads them — no lock needed.
+  const auto runMember = [&](std::size_t i) {
+    // Member span on the member's own thread: the exported timeline gets
+    // one row per racer, with the engine's own spans nested underneath.
+    telemetry::Span member_span(request.telemetry, "portfolio", toString(backends[i]));
+    responses[i] = detail::runBackend(problem, request, backends[i], &stop, channel);
+    if (member_span.active()) member_span.note("status", toString(responses[i].status));
+    // Cancel the losers only on a proof: an incumbent without one could
+    // still be beaten by a backend that is mid-run.
+    if (detail::isProof(responses[i])) stop.store(true, std::memory_order_relaxed);
+  };
+  // The calling thread races the first member itself instead of idling in
+  // join(): one thread (and one malloc arena) fewer per race.
   std::vector<std::thread> threads;
   threads.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    threads.emplace_back([&, i] {
-      // Member span on the member's own thread: the exported timeline gets
-      // one row per racer, with the engine's own spans nested underneath.
-      telemetry::Span member_span(request.telemetry, "portfolio", toString(backends[i]));
-      responses[i] = detail::runBackend(problem, request, backends[i], &stop, channel);
-      if (member_span.active())
-        member_span.note("status", toString(responses[i].status));
-      // Cancel the losers only on a proof: an incumbent without one could
-      // still be beaten by a backend that is mid-run.
-      if (detail::isProof(responses[i])) stop.store(true, std::memory_order_relaxed);
-    });
-  }
+  for (std::size_t k = 1; k < indices.size(); ++k)
+    threads.emplace_back(runMember, indices[k]);
+  if (!indices.empty()) runMember(indices[0]);
   for (std::thread& t : threads) t.join();
 }
 

@@ -41,8 +41,11 @@ MilpFormulation::MilpFormulation(const model::FloorplanProblem& problem,
   buildCoverageAndWaste();
   buildNonOverlap();
   buildForbidden();
-  buildRelocation();
+  buildRelocation();  // nearly every row at SDR scale; polls the stop flag
   buildObjective();
+  // A stop that arrived during the build may have cut the relocation rows
+  // short (the flag never clears, so this cannot miss it).
+  cancelled_ = stopRequested();
 }
 
 bool MilpFormulation::hasSoftSlots() const noexcept {
@@ -331,6 +334,7 @@ void MilpFormulation::buildRelocation() {
   const double big_eq9 = static_cast<double>(W_) * R_;  // maxW·|R| (Eq. 9/11)
 
   for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (stopRequested()) return;  // the constructor flags the model incomplete
     const Slot& slot = slots_[s];
     const int c = num_regions_ + static_cast<int>(s);  // FC area index
     const int n = slot.region;

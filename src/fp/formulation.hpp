@@ -27,6 +27,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,12 @@ struct FormulationOptions {
   OffsetEncoding offset = OffsetEncoding::kChain;
   TypeMatchEncoding type_match = TypeMatchEncoding::kTightened;
   ObjectiveKind objective = ObjectiveKind::kWeighted;
+  /// Cooperative cancellation of the build itself (tens of milliseconds at
+  /// SDR scale, nearly all in the relocation rows): when non-null and set,
+  /// construction stops at the next relocation slot and `cancelled()`
+  /// reports an incomplete model that must not be solved. The pointee must
+  /// outlive the constructor.
+  const std::atomic<bool>* stop = nullptr;
 };
 
 /// Builds and owns the lp::Model for one problem instance, and maps between
@@ -63,6 +70,8 @@ class MilpFormulation {
   [[nodiscard]] const lp::Model& model() const noexcept { return model_; }
   [[nodiscard]] lp::Model& mutableModel() noexcept { return model_; }
   [[nodiscard]] int numAreas() const noexcept { return num_areas_; }
+  /// The build saw FormulationOptions::stop raised and ended early.
+  [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
 
   /// Decodes a solver point into a floorplan (rounding integer variables).
   [[nodiscard]] model::Floorplan extract(const std::vector<double>& x) const;
@@ -103,6 +112,10 @@ class MilpFormulation {
   void buildRelocation();
   void buildObjective();
 
+  [[nodiscard]] bool stopRequested() const noexcept {
+    return opt_.stop && opt_.stop->load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] lp::LinExpr kExpr(int area, int p) const;  ///< intersection indicator
   [[nodiscard]] lp::LinExpr oExpr(int area, int p) const;  ///< first-portion offset
   /// Σ_r l_{area,p,r} — tiles of `area` in portion p.
@@ -118,6 +131,7 @@ class MilpFormulation {
 
   int num_regions_ = 0;
   int num_areas_ = 0;  ///< regions + FC slots
+  bool cancelled_ = false;
   int W_ = 0, R_ = 0, P_ = 0;
   std::vector<Slot> slots_;
 

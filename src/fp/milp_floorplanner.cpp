@@ -145,10 +145,19 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
                                  std::optional<std::vector<double>> start) {
     FormulationOptions fopt = options_.formulation;
     fopt.objective = objective;
+    if (!fopt.stop) fopt.stop = options_.milp.stop;
     MilpFormulation formulation(problem, *part, fopt);
+    if (formulation.cancelled()) {
+      milp::MipResult cancelled_build;  // kNoSolution: the model is incomplete
+      detail << "cancelled while building the formulation; ";
+      return std::make_pair(std::move(cancelled_build), std::move(formulation));
+    }
     if (waste_cap) formulation.addWasteCap(*waste_cap);
     if (sp && static_cast<int>(sp->s1.size()) == formulation.numAreas())
       formulation.addSequencePairConstraints(sp->s1, sp->s2);
+    // The rows are final: drop the arrays' growth slack before the solve
+    // allocates its matrix and factors next to them.
+    formulation.mutableModel().shrinkToFit();
 
     // Admission gate: bill the memory of the LP engine that would actually
     // run. The dense tableau estimate ((m+1) x (n+2m) doubles) used to be
@@ -212,6 +221,13 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     return std::make_pair(std::move(mip), std::move(formulation));
   };
 
+  // A run cancelled before its model existed still has the constructive
+  // floorplan, exactly as a run cancelled at the root would have returned it.
+  const auto warmFallback = [&] {
+    result.plan = *warm;
+    result.costs = model::evaluate(problem, result.plan);
+    result.status = FpStatus::kFeasible;
+  };
   if (!options_.lexicographic) {
     auto [mip, formulation] = buildAndSolve(ObjectiveKind::kWeighted, std::nullopt, std::nullopt);
     result.nodes = mip.nodes;
@@ -221,6 +237,8 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     if (mip.hasSolution()) {
       result.plan = formulation.extract(mip.x);
       result.costs = model::evaluate(problem, result.plan);
+    } else if (formulation.cancelled() && warm) {
+      warmFallback();
     }
   } else {
     // Stage 1: minimize wasted frames.
@@ -230,7 +248,10 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     accumulateLpStats(mip1);
     detail << "stage1(waste): " << milp::toString(mip1.status);
     if (!mip1.hasSolution()) {
-      result.status = fromMip(mip1.status);
+      if (formulation1.cancelled() && warm)
+        warmFallback();
+      else
+        result.status = fromMip(mip1.status);
       result.detail = detail.str();
       result.seconds = watch.seconds();
       return result;

@@ -47,17 +47,40 @@ Var Model::addInteger(double lb, double ub, std::string name) {
 int Model::addConstr(const LinExpr& expr, Sense sense, double rhs, std::string name) {
   LinExpr e = expr;
   e.normalize();
-  Constraint c;
-  c.terms = e.terms();
-  for (const auto& [v, coef] : c.terms) {
+  for (const auto& [v, coef] : e.terms()) {
     (void)coef;
     RFP_CHECK_MSG(v >= 0 && v < numVars(), "constraint '" << name << "' uses unknown var " << v);
   }
-  c.sense = sense;
-  c.rhs = rhs - e.constant();
-  c.name = std::move(name);
-  constrs_.push_back(std::move(c));
+  const std::size_t at = term_var_.size();
+  term_var_.resize(at + e.terms().size());
+  term_coef_.resize(at + e.terms().size());
+  for (std::size_t k = 0; k < e.terms().size(); ++k) {
+    term_var_[at + k] = e.terms()[k].first;
+    term_coef_[at + k] = e.terms()[k].second;
+  }
+  row_start_.push_back(static_cast<int>(term_var_.size()));
+  rows_.push_back(RowInfo{sense, rhs - e.constant()});
+  name_chars_ += name;
+  name_start_.push_back(static_cast<int>(name_chars_.size()));
   return numConstrs() - 1;
+}
+
+Constraint Model::constr(int i) const {
+  RFP_CHECK_MSG(i >= 0 && i < numConstrs(), "constraint index " << i << " out of range");
+  const auto k = static_cast<std::size_t>(i);
+  const auto nb = static_cast<std::size_t>(name_start_[k]);
+  const auto ne = static_cast<std::size_t>(name_start_[k + 1]);
+  return Constraint{rowTerms(i), rows_[k].sense, rows_[k].rhs,
+                    std::string_view(name_chars_).substr(nb, ne - nb)};
+}
+
+void Model::shrinkToFit() {
+  row_start_.shrink_to_fit();
+  term_var_.shrink_to_fit();
+  term_coef_.shrink_to_fit();
+  rows_.shrink_to_fit();
+  name_start_.shrink_to_fit();
+  name_chars_.shrink_to_fit();
 }
 
 int Model::addRange(const LinExpr& expr, double lo, double hi, std::string name) {
@@ -104,18 +127,19 @@ bool Model::isFeasible(std::span<const double> x, double tol) const {
     if (xi < v.lb - tol || xi > v.ub + tol) return false;
     if (v.type != VarType::kContinuous && std::abs(xi - std::round(xi)) > tol) return false;
   }
-  for (const Constraint& c : constrs_) {
+  for (int i = 0; i < numConstrs(); ++i) {
     double lhs = 0.0;
-    for (const auto& [idx, coef] : c.terms) lhs += coef * x[static_cast<std::size_t>(idx)];
-    switch (c.sense) {
+    for (const auto& [idx, coef] : rowTerms(i)) lhs += coef * x[static_cast<std::size_t>(idx)];
+    const RowInfo& r = rows_[static_cast<std::size_t>(i)];
+    switch (r.sense) {
       case Sense::kLessEqual:
-        if (lhs > c.rhs + tol) return false;
+        if (lhs > r.rhs + tol) return false;
         break;
       case Sense::kGreaterEqual:
-        if (lhs < c.rhs - tol) return false;
+        if (lhs < r.rhs - tol) return false;
         break;
       case Sense::kEqual:
-        if (std::abs(lhs - c.rhs) > tol) return false;
+        if (std::abs(lhs - r.rhs) > tol) return false;
         break;
     }
   }
@@ -129,8 +153,9 @@ std::string Model::toString() const {
     os << (c >= 0 ? "+" : "") << c << "*x" << v << ' ';
   if (objective_.constant() != 0.0) os << "+" << objective_.constant();
   os << '\n';
-  for (const Constraint& c : constrs_) {
-    os << "  " << (c.name.empty() ? "c" : c.name) << ": ";
+  for (int i = 0; i < numConstrs(); ++i) {
+    const Constraint c = constr(i);
+    os << "  " << (c.name.empty() ? std::string_view("c") : c.name) << ": ";
     for (const auto& [v, coef] : c.terms) os << (coef >= 0 ? "+" : "") << coef << "*x" << v << ' ';
     switch (c.sense) {
       case Sense::kLessEqual: os << "<= "; break;

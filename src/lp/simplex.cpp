@@ -59,7 +59,7 @@ class Tableau {
 
     // Row preprocessing: shift rhs by lower bounds, normalize rhs >= 0.
     struct Row {
-      const Constraint* c;
+      RowTerms terms;
       double rhs;
       double sign;  // +1 or -1 applied to the stored coefficients
       Sense sense;  // after sign normalization
@@ -68,7 +68,7 @@ class Tableau {
     rows.reserve(static_cast<std::size_t>(m_));
     int n_artificial = 0;
     for (int i = 0; i < m_; ++i) {
-      const Constraint& c = model.constr(i);
+      const Constraint c = model.constr(i);
       double rhs = c.rhs;
       for (const auto& [v, coef] : c.terms) rhs -= coef * shift_[v];
       double sign = 1.0;
@@ -82,7 +82,7 @@ class Tableau {
           sense = Sense::kLessEqual;
       }
       if (sense != Sense::kLessEqual) ++n_artificial;
-      rows.push_back(Row{&c, rhs, sign, sense});
+      rows.push_back(Row{c.terms, rhs, sign, sense});
     }
 
     na_ = n_artificial;
@@ -99,7 +99,7 @@ class Tableau {
     for (int i = 0; i < m_; ++i) {
       const Row& row = rows[static_cast<std::size_t>(i)];
       double* tr = rowPtr(i + 1);
-      for (const auto& [v, coef] : row.c->terms) tr[v] += row.sign * coef;
+      for (const auto& [v, coef] : row.terms) tr[v] += row.sign * coef;
       tr[ncols_] = row.rhs;
       const int slack = n_ + i;
       switch (row.sense) {

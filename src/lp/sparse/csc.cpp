@@ -19,7 +19,7 @@ CscMatrix CscMatrix::fromModel(const Model& model) {
 
   // Count entries per column, then prefix-sum into ptr.
   for (int i = 0; i < a.rows; ++i)
-    for (const auto& [v, coef] : model.constr(i).terms)
+    for (const auto& [v, coef] : model.rowTerms(i))
       if (coef != 0.0) ++a.ptr[static_cast<std::size_t>(v) + 1];
   for (int j = 0; j < a.cols; ++j) a.ptr[static_cast<std::size_t>(j) + 1] += a.ptr[static_cast<std::size_t>(j)];
 
@@ -31,7 +31,7 @@ CscMatrix CscMatrix::fromModel(const Model& model) {
   // arrive with duplicate variables already merged (LinExpr::normalize), so
   // each (row, col) pair appears at most once.
   for (int i = 0; i < a.rows; ++i) {
-    for (const auto& [v, coef] : model.constr(i).terms) {
+    for (const auto& [v, coef] : model.rowTerms(i)) {
       if (coef == 0.0) continue;
       const int at = cursor[static_cast<std::size_t>(v)]++;
       a.idx[static_cast<std::size_t>(at)] = i;
@@ -41,11 +41,6 @@ CscMatrix CscMatrix::fromModel(const Model& model) {
   return a;
 }
 
-long countNonzeros(const Model& model) noexcept {
-  long nnz = 0;
-  for (int i = 0; i < model.numConstrs(); ++i)
-    nnz += static_cast<long>(model.constr(i).terms.size());
-  return nnz;
-}
+long countNonzeros(const Model& model) noexcept { return model.numNonzeros(); }
 
 }  // namespace rfp::lp::sparse

@@ -316,9 +316,11 @@ class Worker {
     std::vector<int> flips;
     while (true) {
       if (++iters > opt_.core.max_iterations) return LpStatus::kIterLimit;
-      if ((iters & 7) == 0 &&
-          (deadline.expired() ||
-           (opt_.core.stop && opt_.core.stop->load(std::memory_order_relaxed))))
+      // Every iteration: at SDR scale one pivot costs milliseconds, so a
+      // sparser poll lets the solve overrun its deadline (or a portfolio
+      // proof) by a visible margin, while the check itself is a clock read.
+      if (deadline.expired() ||
+          (opt_.core.stop && opt_.core.stop->load(std::memory_order_relaxed)))
         return LpStatus::kTimeLimit;
       const bool bland = degenerate_streak > opt_.core.bland_after_degenerate;
 
@@ -356,10 +358,11 @@ class Worker {
       const int leave = bs_.basic[uz(p_row)];
 
       // ---- pivot row + dual ratio candidates ----
-      // Hyper-sparse BTRAN of e_p, then a CSR scatter over just the columns
-      // that intersect rho's support — every other column has a zero
-      // pivot-row entry and is neither a candidate nor touched by the dual
-      // step update below. Replaces an O(nnz(A)) columnDot pass per pivot.
+      // Hyper-sparse BTRAN of e_p, then a scatter of the model's rows over
+      // just the columns that intersect rho's support — every other column
+      // has a zero pivot-row entry and is neither a candidate nor touched by
+      // the dual step update below. Replaces an O(nnz(A)) columnDot pass
+      // per pivot.
       rho_.clear();
       rho_.set(p_row, 1.0);
       bs_.lu.btranSparse(rho_);  // row p_row of B^-1
@@ -374,13 +377,12 @@ class Worker {
       for (const int i : rho_.idx) {
         const double rv = rho_.val[uz(i)];
         if (rv == 0.0) continue;
-        for (int k = f_.rptr[uz(i)]; k < f_.rptr[uz(i) + 1]; ++k) {
-          const int j = f_.rcol[uz(k)];
+        for (const auto& [j, aij] : f_.row(i)) {
           if (!colmark_[uz(j)]) {
             colmark_[uz(j)] = 1;
             coltouch_.push_back(j);
           }
-          arow_[uz(j)] += f_.rval[uz(k)] * rv;
+          arow_[uz(j)] += aij * rv;
         }
         const int js = f_.n + i;  // slack column of row i is the unit e_i
         if (!colmark_[uz(js)]) {

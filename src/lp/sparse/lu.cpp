@@ -36,199 +36,251 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
   update_count_ = 0;
   deficient_pos_.clear();
   unpivoted_rows_.clear();
-  work_.assign(zu(m), 0.0);
-  work2_.assign(zu(m), 0.0);
-  upd_val_.assign(zu(m), 0.0);
-  upd_mark_.assign(zu(m), 0);
+  // The old U goes before the elimination's working copy is built, and the
+  // new factor structures come after that copy is gone: the factorization
+  // peaks at max(working copy, factors), not their sum. At SDR scale (m ~
+  // 60k, a mostly-slack basis) either side is several MiB of per-row
+  // headers alone.
+  u_rows_ = {};
+  u_cols_ = {};
 
   // Transient U rows in basis-position column references; remapped to slots
   // and scattered into the dynamic row/column structures at the end.
   std::vector<int> tu_start, tu_pos;
   std::vector<double> tu_val;
 
-  // ---- working copy of the basis matrix, column-wise -----------------------
-  // Columns are kept exact (only active rows); row patterns may carry stale
-  // position entries which are skipped lazily via col_done / membership.
-  std::vector<std::vector<Entry>> cols(zu(m));
-  std::vector<std::vector<int>> rowpat(zu(m));
-  std::vector<int> rcount(zu(m), 0);
-  for (int p = 0; p < m; ++p) {
-    const int b = basic[zu(p)];
-    if (b >= a.cols) {
-      const int r = b - a.cols;
-      RFP_CHECK_MSG(r >= 0 && r < m, "basis references slack of unknown row " << r);
-      cols[zu(p)].push_back(Entry{r, 1.0});
-    } else {
-      RFP_CHECK_MSG(b >= 0, "basis position " << p << " is unset");
-      for (int k = a.ptr[zu(b)]; k < a.ptr[zu(b) + 1]; ++k)
-        cols[zu(p)].push_back(Entry{a.idx[zu(k)], a.val[zu(k)]});
-    }
-    for (const Entry& e : cols[zu(p)]) {
-      rowpat[zu(e.row)].push_back(p);
-      ++rcount[zu(e.row)];
-    }
-  }
-
-  std::vector<char> row_done(zu(m), 0);
-  std::vector<char> col_done(zu(m), 0);
-
-  // Bucket queue of candidate columns by current length; entries go stale
-  // when a column's length changes (it is re-pushed at the new length) and
-  // are skipped on pop.
-  std::vector<std::vector<int>> bucket(zu(m) + 1);
-  for (int p = 0; p < m; ++p) bucket[cols[zu(p)].size()].push_back(p);
-
-  // Scatter workspace for column updates.
-  std::vector<double> wval(zu(m), 0.0);
-  std::vector<int> wstamp(zu(m), -1);
-  std::vector<int> touched;
-  int epoch = 0;
-
-  const auto columnLen = [&](int p) { return cols[zu(p)].size(); };
-
   int steps = 0;
-  std::vector<int> popped;  // candidates taken off the buckets this step
-  while (steps < m) {
-    // ---- Markowitz pivot selection ---------------------------------------
-    int best_row = -1, best_pos = -1;
-    double best_val = 0.0;
-    long best_cost = -1;
-    popped.clear();
-    int examined = 0;
-    bool relaxed = false;  // second pass with the relative threshold dropped
-    for (std::size_t c = 0; c <= zu(m);) {
-      if (bucket[c].empty()) {
-        ++c;
-        if (c > zu(m) && best_pos < 0 && !relaxed && !popped.empty()) {
-          // Nothing met the stability threshold; retry the popped candidates
-          // accepting any pivot above the absolute floor.
-          relaxed = true;
-          c = 0;
-          for (const int p : popped) bucket[columnLen(p)].push_back(p);
-          popped.clear();
-        }
-        continue;
+  {
+    // ---- working copy of the basis matrix, column-wise ----------------------
+    // Each column lists its active entries in order. Entries leave lazily:
+    // a singleton pivot only tombstones (row = -1) the pivot-row entry of
+    // every column it touches, so a long structural column is never
+    // rewritten once per slack row it crosses (which would make
+    // refactorizing a mostly-slack SDR-scale basis quadratic in the column
+    // lengths: seconds at a few hundred structural columns). Columns are
+    // rewritten compactly only by genuine updates (non-singleton pivots)
+    // and when examined with more dead than live entries. Row patterns
+    // list, per row, the columns with an entry there plus that entry's
+    // index as a lookup hint; a hint outdated by a rewrite falls back to a
+    // scan, and pattern entries whose entry has left are skipped as stale.
+    // Entries at or below drop_tol never enter the copy.
+    struct PatEntry {
+      int pos;  ///< basis position (column) with an entry in this row
+      int at;   ///< that entry's index in the column when recorded
+    };
+    std::vector<std::vector<Entry>> cols(zu(m));
+    std::vector<std::vector<PatEntry>> rowpat(zu(m));
+    std::vector<int> live(zu(m), 0);  ///< live (non-tombstoned) entries per column
+    std::vector<int> rcount(zu(m), 0);
+    for (int p = 0; p < m; ++p) {
+      const int b = basic[zu(p)];
+      std::vector<Entry>& col = cols[zu(p)];
+      if (b >= a.cols) {
+        const int r = b - a.cols;
+        RFP_CHECK_MSG(r >= 0 && r < m, "basis references slack of unknown row " << r);
+        col.push_back(Entry{r, 1.0});
+      } else {
+        RFP_CHECK_MSG(b >= 0, "basis position " << p << " is unset");
+        for (int k = a.ptr[zu(b)]; k < a.ptr[zu(b) + 1]; ++k)
+          if (std::abs(a.val[zu(k)]) > opt_.drop_tol)
+            col.push_back(Entry{a.idx[zu(k)], a.val[zu(k)]});
       }
-      const int p = bucket[c].back();
-      bucket[c].pop_back();
-      if (col_done[zu(p)] || columnLen(p) != c) continue;  // stale
-      if (c == 0) continue;  // structurally empty: left for the deficiency report
-      popped.push_back(p);
-      double colmax = 0.0;
-      for (const Entry& e : cols[zu(p)]) colmax = std::max(colmax, std::abs(e.val));
-      const double floor =
-          std::max(opt_.abs_pivot_tol, relaxed ? 0.0 : opt_.rel_pivot_tol * colmax);
-      int cand_row = -1;
-      double cand_val = 0.0;
-      long cand_cost = -1;
-      for (const Entry& e : cols[zu(p)]) {
-        if (std::abs(e.val) < floor) continue;
-        const long cost =
-            (static_cast<long>(c) - 1) * (static_cast<long>(rcount[zu(e.row)]) - 1);
-        if (cand_row < 0 || cost < cand_cost ||
-            (cost == cand_cost && std::abs(e.val) > std::abs(cand_val))) {
-          cand_row = e.row;
-          cand_val = e.val;
-          cand_cost = cost;
-        }
+      for (std::size_t k = 0; k < col.size(); ++k) {
+        rowpat[zu(col[k].row)].push_back(PatEntry{p, static_cast<int>(k)});
+        ++rcount[zu(col[k].row)];
       }
-      if (cand_row >= 0) {
-        ++examined;
-        if (best_pos < 0 || cand_cost < best_cost ||
-            (cand_cost == best_cost && std::abs(cand_val) > std::abs(best_val))) {
-          best_pos = p;
-          best_row = cand_row;
-          best_val = cand_val;
-          best_cost = cand_cost;
-        }
-        if (best_cost == 0 || examined >= opt_.search_columns) break;
-      }
+      live[zu(p)] = static_cast<int>(col.size());
     }
-    // Unchosen candidates return to the queue for later steps.
-    for (const int p : popped)
-      if (p != best_pos) bucket[columnLen(p)].push_back(p);
-    if (best_pos < 0) break;  // remaining submatrix is (numerically) singular
 
-    // ---- elimination step -------------------------------------------------
-    const int pi = best_row, pj = best_pos;
-    const double pivval = best_val;
-    row_done[zu(pi)] = 1;
-    col_done[zu(pj)] = 1;
-    pivot_row_.push_back(pi);
-    pivot_pos_.push_back(pj);
-    diag_.push_back(pivval);
+    std::vector<char> row_done(zu(m), 0);
+    std::vector<char> col_done(zu(m), 0);
 
-    // L multipliers from the pivot column.
-    const int l_first = static_cast<int>(l_row_.size());
-    l_start_.push_back(l_first);
-    for (const Entry& e : cols[zu(pj)]) {
-      if (e.row == pi) continue;
-      l_row_.push_back(e.row);
-      l_val_.push_back(e.val / pivval);
-      --rcount[zu(e.row)];
-    }
-    const int l_last = static_cast<int>(l_row_.size());
-    cols[zu(pj)].clear();
+    // Bucket queue of candidate columns by current length (sized to the
+    // longest column seen, not m); entries go stale when a column's length
+    // changes (it is re-pushed at the new length) and are skipped on pop.
+    std::vector<std::vector<int>> bucket;
+    const auto columnLen = [&](int p) { return zu(live[zu(p)]); };
+    const auto enqueue = [&](int p) {
+      if (bucket.size() <= columnLen(p)) bucket.resize(columnLen(p) + 1);
+      bucket[columnLen(p)].push_back(p);
+    };
+    for (int p = 0; p < m; ++p) enqueue(p);
 
-    // U row: remaining entries of the pivot row, with column updates.
-    tu_start.push_back(static_cast<int>(tu_pos.size()));
-    for (const int jp : rowpat[zu(pi)]) {
-      if (jp == pj || col_done[zu(jp)]) continue;
-      std::vector<Entry>& col = cols[zu(jp)];
-      double upv = 0.0;
-      bool found = false;
-      for (const Entry& e : col)
-        if (e.row == pi) {
-          upv = e.val;
-          found = true;
-          break;
+    // Scatter workspace for column updates.
+    std::vector<double> wval(zu(m), 0.0);
+    std::vector<int> wstamp(zu(m), -1);
+    std::vector<int> touched;
+    int epoch = 0;
+
+    std::vector<int> popped;  // candidates taken off the buckets this step
+    while (steps < m) {
+      // ---- Markowitz pivot selection ---------------------------------------
+      int best_row = -1, best_pos = -1;
+      double best_val = 0.0;
+      long best_cost = -1;
+      popped.clear();
+      int examined = 0;
+      bool relaxed = false;  // second pass with the relative threshold dropped
+      for (std::size_t c = 0; c < bucket.size();) {
+        if (bucket[c].empty()) {
+          ++c;
+          if (c >= bucket.size() && best_pos < 0 && !relaxed && !popped.empty()) {
+            // Nothing met the stability threshold; retry the popped candidates
+            // accepting any pivot above the absolute floor.
+            relaxed = true;
+            c = 0;
+            for (const int p : popped) bucket[columnLen(p)].push_back(p);
+            popped.clear();
+          }
+          continue;
         }
-      if (!found) continue;   // stale pattern entry (cancelled earlier)
-      tu_pos.push_back(jp);   // stores positions; remapped to slots below
-      tu_val.push_back(upv);
-
-      // col := col - upv * (L multipliers), dropping the pivot row entry.
-      ++epoch;
-      touched.clear();
-      for (const Entry& e : col) {
-        if (e.row == pi) continue;
-        wval[zu(e.row)] = e.val;
-        wstamp[zu(e.row)] = epoch;
-        touched.push_back(e.row);
-      }
-      for (int t = l_first; t < l_last; ++t) {
-        const int r = l_row_[zu(t)];
-        const double delta = l_val_[zu(t)] * upv;
-        if (wstamp[zu(r)] == epoch) {
-          wval[zu(r)] -= delta;
-        } else {
-          wstamp[zu(r)] = epoch;
-          wval[zu(r)] = -delta;
-          touched.push_back(r);
-          rowpat[zu(r)].push_back(jp);
-          ++rcount[zu(r)];
+        const int p = bucket[c].back();
+        bucket[c].pop_back();
+        if (col_done[zu(p)] || columnLen(p) != c) continue;  // stale
+        if (c == 0) continue;  // structurally empty: left for the deficiency report
+        popped.push_back(p);
+        std::vector<Entry>& col = cols[zu(p)];
+        if (col.size() > 2 * c)
+          std::erase_if(col, [](const Entry& e) { return e.row < 0; });
+        double colmax = 0.0;
+        for (const Entry& e : col)
+          if (e.row >= 0) colmax = std::max(colmax, std::abs(e.val));
+        const double floor =
+            std::max(opt_.abs_pivot_tol, relaxed ? 0.0 : opt_.rel_pivot_tol * colmax);
+        int cand_row = -1;
+        double cand_val = 0.0;
+        long cand_cost = -1;
+        for (const Entry& e : col) {
+          if (e.row < 0 || std::abs(e.val) < floor) continue;
+          const long cost =
+              (static_cast<long>(c) - 1) * (static_cast<long>(rcount[zu(e.row)]) - 1);
+          if (cand_row < 0 || cost < cand_cost ||
+              (cost == cand_cost && std::abs(e.val) > std::abs(cand_val))) {
+            cand_row = e.row;
+            cand_val = e.val;
+            cand_cost = cost;
+          }
+        }
+        if (cand_row >= 0) {
+          ++examined;
+          if (best_pos < 0 || cand_cost < best_cost ||
+              (cand_cost == best_cost && std::abs(cand_val) > std::abs(best_val))) {
+            best_pos = p;
+            best_row = cand_row;
+            best_val = cand_val;
+            best_cost = cand_cost;
+          }
+          if (best_cost == 0 || examined >= opt_.search_columns) break;
         }
       }
-      col.clear();
-      for (const int r : touched) {
-        const double v = wval[zu(r)];
-        if (std::abs(v) > opt_.drop_tol)
-          col.push_back(Entry{r, v});
-        else
-          --rcount[zu(r)];  // cancelled out
-      }
-      bucket[col.size()].push_back(jp);
-    }
-    ++steps;
-  }
+      // Unchosen candidates return to the queue for later steps.
+      for (const int p : popped)
+        if (p != best_pos) bucket[columnLen(p)].push_back(p);
+      if (best_pos < 0) break;  // remaining submatrix is (numerically) singular
 
-  if (steps < m) {
-    for (int p = 0; p < m; ++p)
-      if (!col_done[zu(p)]) deficient_pos_.push_back(p);
-    for (int r = 0; r < m; ++r)
-      if (!row_done[zu(r)]) unpivoted_rows_.push_back(r);
-    return false;
-  }
+      // ---- elimination step -------------------------------------------------
+      const int pi = best_row, pj = best_pos;
+      const double pivval = best_val;
+      row_done[zu(pi)] = 1;
+      col_done[zu(pj)] = 1;
+      pivot_row_.push_back(pi);
+      pivot_pos_.push_back(pj);
+      diag_.push_back(pivval);
+
+      // L multipliers from the pivot column.
+      const int l_first = static_cast<int>(l_row_.size());
+      l_start_.push_back(l_first);
+      for (const Entry& e : cols[zu(pj)]) {
+        if (e.row < 0 || e.row == pi) continue;
+        l_row_.push_back(e.row);
+        l_val_.push_back(e.val / pivval);
+        --rcount[zu(e.row)];
+      }
+      const int l_last = static_cast<int>(l_row_.size());
+      cols[zu(pj)].clear();
+      live[zu(pj)] = 0;
+
+      // U row: remaining entries of the pivot row, with column updates.
+      tu_start.push_back(static_cast<int>(tu_pos.size()));
+      for (std::size_t q = 0; q < rowpat[zu(pi)].size(); ++q) {
+        const PatEntry pe = rowpat[zu(pi)][q];
+        const int jp = pe.pos;
+        if (jp == pj || col_done[zu(jp)]) continue;
+        std::vector<Entry>& col = cols[zu(jp)];
+        int at = pe.at;
+        if (at >= static_cast<int>(col.size()) || col[zu(at)].row != pi) {
+          at = -1;
+          for (std::size_t k = 0; k < col.size(); ++k)
+            if (col[k].row == pi) {
+              at = static_cast<int>(k);
+              break;
+            }
+        }
+        if (at < 0) continue;  // stale pattern entry (cancelled earlier)
+        const double upv = col[zu(at)].val;
+        tu_pos.push_back(jp);  // stores positions; remapped to slots below
+        tu_val.push_back(upv);
+
+        if (l_first == l_last) {
+          // Singleton pivot: no multipliers, so the column only loses its
+          // pivot-row entry.
+          col[zu(at)].row = -1;
+          --live[zu(jp)];
+          enqueue(jp);
+          continue;
+        }
+
+        // col := col - upv * (L multipliers), dropping the pivot row entry.
+        ++epoch;
+        touched.clear();
+        for (const Entry& e : col) {
+          if (e.row < 0 || e.row == pi) continue;
+          wval[zu(e.row)] = e.val;
+          wstamp[zu(e.row)] = epoch;
+          touched.push_back(e.row);
+        }
+        const std::size_t first_fill = touched.size();
+        for (int t = l_first; t < l_last; ++t) {
+          const int r = l_row_[zu(t)];
+          const double delta = l_val_[zu(t)] * upv;
+          if (wstamp[zu(r)] == epoch) {
+            wval[zu(r)] -= delta;
+          } else {
+            wstamp[zu(r)] = epoch;
+            wval[zu(r)] = -delta;
+            touched.push_back(r);
+            ++rcount[zu(r)];
+          }
+        }
+        col.clear();
+        for (std::size_t k = 0; k < touched.size(); ++k) {
+          const int r = touched[k];
+          const double v = wval[zu(r)];
+          const int at_new = static_cast<int>(col.size());
+          if (std::abs(v) > opt_.drop_tol)
+            col.push_back(Entry{r, v});
+          else
+            --rcount[zu(r)];  // cancelled out
+          if (k >= first_fill) rowpat[zu(r)].push_back(PatEntry{jp, at_new});
+        }
+        live[zu(jp)] = static_cast<int>(col.size());
+        enqueue(jp);
+      }
+      ++steps;
+    }
+
+    if (steps < m) {
+      for (int p = 0; p < m; ++p)
+        if (!col_done[zu(p)]) deficient_pos_.push_back(p);
+      for (int r = 0; r < m; ++r)
+        if (!row_done[zu(r)]) unpivoted_rows_.push_back(r);
+      return false;
+    }
+  }  // working copy released
+  work_.assign(zu(m), 0.0);
+  work2_.assign(zu(m), 0.0);
+  upd_val_.assign(zu(m), 0.0);
+  upd_mark_.assign(zu(m), 0);
   l_start_.push_back(static_cast<int>(l_row_.size()));
   tu_start.push_back(static_cast<int>(tu_pos.size()));
 

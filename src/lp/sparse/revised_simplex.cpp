@@ -119,9 +119,11 @@ class Worker {
       std::fill(weights_.begin(), weights_.end(), 1.0);
     while (true) {
       if (++iters > opt_.core.max_iterations) return LpStatus::kIterLimit;
-      if ((iters & 7) == 0 &&
-          (deadline.expired() ||
-           (opt_.core.stop && opt_.core.stop->load(std::memory_order_relaxed))))
+      // Every iteration: at SDR scale one pivot costs milliseconds, so a
+      // sparser poll lets the solve overrun its deadline (or a portfolio
+      // proof) by a visible margin, while the check itself is a clock read.
+      if (deadline.expired() ||
+          (opt_.core.stop && opt_.core.stop->load(std::memory_order_relaxed)))
         return LpStatus::kTimeLimit;
 
       // Phase-1 cost row: unit penalty per violated bound. Phase 1 is over
@@ -326,7 +328,7 @@ class Worker {
                                             "primal");
 
       // Reference-weight update from the pivot row (already in rho_). The
-      // CSR mirror confines the pass to columns intersecting rho's support
+      // model's rows confine the pass to columns intersecting rho's support
       // — every other column has a zero alpha-row entry and keeps its
       // weight, exactly as the old full columnDot sweep concluded at O(nnz).
       if (!bland) {
@@ -337,14 +339,13 @@ class Worker {
         for (const int i : rho_.idx) {
           const double rv = rho_.val[uz(i)];
           if (rv == 0.0) continue;
-          for (int k = f_.rptr[uz(i)]; k < f_.rptr[uz(i) + 1]; ++k) {
-            const int j = f_.rcol[uz(k)];
+          for (const auto& [j, aij] : f_.row(i)) {
             if (!colmark_[uz(j)]) {
               colmark_[uz(j)] = 1;
               arow_[uz(j)] = 0.0;
               coltouch_.push_back(j);
             }
-            arow_[uz(j)] += f_.rval[uz(k)] * rv;
+            arow_[uz(j)] += aij * rv;
           }
           const int js = f_.n + i;  // slack column of row i is the unit e_i
           if (!colmark_[uz(js)]) {
@@ -448,6 +449,14 @@ LpResult RevisedSimplexSolver::solve(const Model& model, std::span<const double>
     }
   }
 
+  // A solve that starts cancelled or out of time returns before paying for
+  // its first factorization (tens of milliseconds at SDR scale).
+  if (deadline.expired() ||
+      (options_.core.stop && options_.core.stop->load(std::memory_order_relaxed))) {
+    result.status = LpStatus::kTimeLimit;
+    result.seconds = watch.seconds();
+    return result;
+  }
   Worker worker(model, lb, ub, csc, options_);
   result.status = worker.run(warm, result, deadline);
   if (result.status == LpStatus::kOptimal) result.objective = model.evalObjective(result.x);

@@ -8,6 +8,7 @@ namespace rfp::lp::sparse {
 
 StandardForm::StandardForm(const Model& model, std::span<const double> lb,
                            std::span<const double> ub, const CscMatrix* cached) {
+  this->model = &model;
   n = model.numVars();
   m = model.numConstrs();
   nn = n + m;
@@ -28,7 +29,7 @@ StandardForm::StandardForm(const Model& model, std::span<const double> lb,
   }
   rhs.resize(uz(m));
   for (int i = 0; i < m; ++i) {
-    const Constraint& c = model.constr(i);
+    const Constraint c = model.constr(i);
     rhs[uz(i)] = c.rhs;
     const int s = n + i;
     switch (c.sense) {
@@ -49,21 +50,6 @@ StandardForm::StandardForm(const Model& model, std::span<const double> lb,
   cost.assign(uz(nn), 0.0);
   const double dir = (model.objSense() == ObjSense::kMinimize) ? 1.0 : -1.0;
   for (const auto& [v, c] : model.objective().terms()) cost[uz(v)] += dir * c;
-
-  // CSR mirror of `a` for hyper-sparse pivot-row scatters (counting sort).
-  const std::size_t nnz = a->val.size();
-  rptr.assign(uz(m) + 1, 0);
-  for (const int r : a->idx) ++rptr[uz(r) + 1];
-  for (int i = 0; i < m; ++i) rptr[uz(i) + 1] += rptr[uz(i)];
-  rcol.resize(nnz);
-  rval.resize(nnz);
-  std::vector<int> fill(rptr.begin(), rptr.end() - 1);
-  for (int j = 0; j < n; ++j)
-    for (int k = a->ptr[uz(j)]; k < a->ptr[uz(j) + 1]; ++k) {
-      const int at = fill[uz(a->idx[uz(k)])]++;
-      rcol[uz(at)] = j;
-      rval[uz(at)] = a->val[uz(k)];
-    }
 }
 
 void BasisState::slackBasis(const StandardForm& f) {

@@ -5,11 +5,12 @@
 // one slack per row, variables resting at bounds — from the same kind of
 // factorized basis. `StandardForm` owns the per-solve constant data (bounds,
 // costs, right-hand side, and the CSC constraint matrix, either borrowed
-// from a caller-held cache or built on the spot); `BasisState` owns the
-// mutable basis (basic set, variable statuses, basic values, LU factors)
-// plus the repair logic shared by both engines: adopting a warm basis under
-// changed bounds, swapping slacks in for singular positions, and recomputing
-// the basic values through fresh factors.
+// from a caller-held cache or built on the spot; rows are read from the
+// model itself); `BasisState` owns the mutable basis (basic set, variable
+// statuses, basic values, LU factors) plus the repair logic shared by both
+// engines: adopting a warm basis under changed bounds, swapping slacks in
+// for singular positions, and recomputing the basic values through fresh
+// factors.
 #pragma once
 
 #include <memory>
@@ -30,6 +31,7 @@ namespace rfp::lp::sparse {
 /// The standard-form problem one solve works on. Variables are indexed
 /// 0..n-1 (structural) and n..n+m-1 (slack of row j-n).
 struct StandardForm {
+  const Model* model = nullptr;  ///< rows are read in place from the model
   const CscMatrix* a = nullptr;  ///< structural columns (borrowed or `owned`)
   CscMatrix owned;               ///< storage when no cached matrix was given
   int n = 0;   ///< structural variables
@@ -39,16 +41,9 @@ struct StandardForm {
   std::vector<double> rhs;
   std::vector<double> cost;  ///< phase-2 costs, minimization sense (slacks zero)
 
-  // Row-wise mirror of `a` (CSR), built once per solve/tree. The engines use
-  // it to scatter a hyper-sparse pivot row rho into column space touching
-  // only the columns that intersect rho's support, instead of an
-  // O(nnz(A)) columnDot pass over every column.
-  std::vector<int> rptr, rcol;
-  std::vector<double> rval;
-
   /// `cached`, when non-null, must be the CSC form of `model`'s constraint
   /// matrix (callers reuse one across a branch & bound tree's node solves);
-  /// otherwise the matrix is built here.
+  /// otherwise the matrix is built here. `model` must outlive the form.
   StandardForm(const Model& model, std::span<const double> lb, std::span<const double> ub,
                const CscMatrix* cached);
 
@@ -65,6 +60,13 @@ struct StandardForm {
       up[uz(j)] = ub[uz(j)];
     }
   }
+
+  /// Row i of A over its structural columns (ascending, no zeros), read in
+  /// place from the model's own row arrays — no per-solve row mirror. The
+  /// engines scatter a hyper-sparse pivot row rho into column space through
+  /// it, touching only the columns that intersect rho's support instead of
+  /// an O(nnz(A)) columnDot pass over every column.
+  [[nodiscard]] RowTerms row(int i) const noexcept { return model->rowTerms(i); }
 
   /// y · (column j), columns n..nn-1 being implicit unit slack columns.
   [[nodiscard]] double columnDot(const std::vector<double>& y, int j) const {

@@ -57,23 +57,25 @@ struct HeapEntry {
 
 class Search {
  public:
-  Search(const lp::Model& model, const MilpSolver::Options& opt)
-      : model_(model), opt_(opt), lp_solver_(opt.lp) {
-    const int n = model.numVars();
-    base_lb_.resize(static_cast<std::size_t>(n));
-    base_ub_.resize(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      base_lb_[static_cast<std::size_t>(j)] = model.var(j).lb;
-      base_ub_[static_cast<std::size_t>(j)] = model.var(j).ub;
-    }
+  Search(detail::TreeRoot root, const MilpSolver::Options& opt)
+      : model_(*root.model),
+        opt_(opt),
+        lp_solver_(opt.lp),
+        base_lb_(std::move(root.lb)),
+        base_ub_(std::move(root.ub)),
+        root_basis_(std::move(root.basis)) {
+    const lp::Model& model = model_;
     minimize_ = model.objSense() == lp::ObjSense::kMinimize;
-    pseudo_costs_.assign(static_cast<std::size_t>(n), PseudoCost{});
+    pseudo_costs_.assign(static_cast<std::size_t>(model.numVars()), PseudoCost{});
     // One CSC build per tree: every node solve differs only in bounds, so
     // the structural matrix is shared across the whole search instead of
-    // being rebuilt per solve (pure constant overhead otherwise).
-    if (lp_solver_.resolveEngine(model) == lp::LpEngine::kSparse) {
-      csc_ = std::make_shared<const lp::sparse::CscMatrix>(
-          lp::sparse::CscMatrix::fromModel(model));
+    // being rebuilt per solve (pure constant overhead otherwise). The root
+    // LPs' matrix is reused when they ran on this same model; a tree that
+    // starts cancelled solves no node and builds nothing.
+    if (lp_solver_.resolveEngine(model) == lp::LpEngine::kSparse && !externallyStopped()) {
+      csc_ = root.csc ? std::move(root.csc)
+                      : std::make_shared<const lp::sparse::CscMatrix>(
+                            lp::sparse::CscMatrix::fromModel(model));
       if (opt.lp_warm_start && opt.lp.dual_reopt) {
         // Persistent dual reoptimizer: dive children warm-start from the
         // live factors of the solve that just produced their parent basis,
@@ -111,6 +113,7 @@ class Search {
     res.lp_engine = lp_solver_.resolveEngine(model_);
 
     nodes_.push_back(Node{});  // root
+    nodes_.front().start_basis = std::move(root_basis_);
     heap_.push(HeapEntry{-lp::kInfinity, seq_++, 0});
 
     bool truncated = false;
@@ -220,10 +223,10 @@ class Search {
 
   /// Polls the incumbent-exchange callback and adopts its point as the
   /// objective cutoff when it is integer-feasible for this (possibly cut-
-  /// and presolve-augmented) model and beats the current incumbent. Cover
-  /// cuts and presolve preserve every integer-feasible point, so a genuinely
-  /// feasible external plan passes; HO's sequence-pair rows legitimately
-  /// reject plans outside the restricted space.
+  /// augmented) model and beats the current incumbent. Cover cuts preserve
+  /// every integer-feasible point, so a genuinely feasible external plan
+  /// passes; HO's sequence-pair rows legitimately reject plans outside the
+  /// restricted space.
   void adoptExternalIncumbent(MipResult& res) {
     if (!opt_.incumbent_poll) return;
     std::optional<std::vector<double>> x = opt_.incumbent_poll();
@@ -434,6 +437,7 @@ class Search {
   std::vector<PseudoCost> pseudo_costs_;
 
   std::vector<double> base_lb_, base_ub_;
+  std::shared_ptr<const lp::sparse::Basis> root_basis_;  ///< see TreeRoot::basis
   std::vector<Node> nodes_;
   std::priority_queue<HeapEntry> heap_;
   long seq_ = 0;
@@ -517,34 +521,38 @@ MipResult MilpSolver::solve(const lp::Model& model,
     downgradeIfCancelled(res, options_);
     return res;
   }
-  // Working copy: presolve tightens its variable bounds; cover cuts append
-  // rows. Both transformations preserve every integer-feasible point, so a
-  // warm start remains valid and optimality claims are unaffected. The
-  // wall-clock budget covers presolve + cuts + search: root work at paper
-  // scale is LP-solve-heavy, so the search receives whatever remains.
+  // Root work. Presolve tightens bound vectors, not a model, and cover cuts
+  // go into a working copy made only once a cut is actually added: the
+  // caller's model (tens of MiB at paper scale) is never copied whole and
+  // never changed. Both transformations preserve every integer-feasible
+  // point, so a warm start remains valid and optimality claims are
+  // unaffected. The wall-clock budget covers presolve + cuts + search: root
+  // work at paper scale is LP-solve-heavy, so the search receives whatever
+  // remains.
   Stopwatch root_watch;
   const Deadline cut_deadline(options_.time_limit_seconds);
-  lp::Model work = model;
+  detail::TreeRoot root;
+  root.model = &model;
+  root.lb.resize(static_cast<std::size_t>(model.numVars()));
+  root.ub.resize(static_cast<std::size_t>(model.numVars()));
+  for (int j = 0; j < model.numVars(); ++j) {
+    root.lb[static_cast<std::size_t>(j)] = model.var(j).lb;
+    root.ub[static_cast<std::size_t>(j)] = model.var(j).ub;
+  }
 
   if (options_.enable_presolve) {
     telemetry::Span presolve_span(options_.telemetry, "milp", "presolve");
-    std::vector<double> lb(static_cast<std::size_t>(work.numVars()));
-    std::vector<double> ub(static_cast<std::size_t>(work.numVars()));
-    for (int j = 0; j < work.numVars(); ++j) {
-      lb[static_cast<std::size_t>(j)] = work.var(j).lb;
-      ub[static_cast<std::size_t>(j)] = work.var(j).ub;
-    }
-    const PresolveResult pr = tightenBounds(work, lb, ub);
+    const PresolveResult pr =
+        tightenBounds(model, root.lb, root.ub, /*max_rounds=*/10, options_.stop);
     if (pr.infeasible) {
       MipResult res;
       res.status = MipStatus::kInfeasible;
       downgradeIfCancelled(res, options_);
       return res;
     }
-    for (int j = 0; j < work.numVars(); ++j)
-      work.setVarBounds(j, lb[static_cast<std::size_t>(j)], ub[static_cast<std::size_t>(j)]);
   }
 
+  std::optional<lp::Model> work;  // caller's model + cuts, once a cut exists
   long cut_solves = 0, cut_iters = 0, cut_refacs = 0;
   long cut_primal = 0, cut_flips = 0, cut_fts = 0;
   long cut_ftran_sp = 0, cut_ftran_dn = 0, cut_btran_sp = 0, cut_btran_dn = 0;
@@ -554,8 +562,14 @@ MipResult MilpSolver::solve(const lp::Model& model,
       if (cut_deadline.expired() ||
           (options_.stop && options_.stop->load(std::memory_order_relaxed)))
         break;
+      const lp::LpSolver lp_solver(cappedLpOptions(options_, clampedRemaining(cut_deadline)));
+      // One CSC build per model version: the tree reuses it when the last
+      // round adds no cut.
+      if (!root.csc && lp_solver.resolveEngine(*root.model) == lp::LpEngine::kSparse)
+        root.csc = std::make_shared<const lp::sparse::CscMatrix>(
+            lp::sparse::CscMatrix::fromModel(*root.model));
       const lp::LpResult rel =
-          lp::LpSolver(cappedLpOptions(options_, clampedRemaining(cut_deadline))).solve(work);
+          lp_solver.solve(*root.model, root.lb, root.ub, nullptr, root.csc.get());
       ++cut_solves;
       cut_iters += rel.iterations;
       cut_refacs += rel.refactorizations;
@@ -567,13 +581,23 @@ MipResult MilpSolver::solve(const lp::Model& model,
       cut_btran_sp += rel.btran_sparse;
       cut_btran_dn += rel.btran_dense;
       if (rel.status != lp::LpStatus::kOptimal) break;
-      const std::vector<CoverCut> cuts = separateCoverCuts(work, rel.x);
-      if (cuts.empty()) break;
+      const std::vector<CoverCut> cuts = separateCoverCuts(*root.model, rel.x);
+      if (cuts.empty()) {
+        // This LP is the tree's root LP: its root node restarts from the
+        // optimal basis instead of solving it again from scratch.
+        root.basis = rel.basis;
+        break;
+      }
+      if (!work) {
+        work.emplace(model);
+        root.model = &*work;
+      }
       for (const CoverCut& cut : cuts) {
         lp::LinExpr expr;
         for (const int j : cut.vars) expr.addTerm(lp::Var{j}, 1.0);
-        work.addConstr(expr, lp::Sense::kLessEqual, cut.rhs, "cover_cut");
+        work->addConstr(expr, lp::Sense::kLessEqual, cut.rhs, "cover_cut");
       }
+      root.csc.reset();  // the rows changed
     }
   }
 
@@ -584,9 +608,10 @@ MipResult MilpSolver::solve(const lp::Model& model,
   // threads > 1 dispatches to the work-stealing parallel engine
   // (bb_parallel.cpp); the sequential engine stays the single-thread path so
   // existing single-threaded behavior is bit-for-bit unchanged.
-  MipResult res = search_opt.threads > 1
-                      ? detail::runParallelSearch(work, search_opt, std::move(warm_start))
-                      : Search(work, search_opt).run(std::move(warm_start));
+  MipResult res =
+      search_opt.threads > 1
+          ? detail::runParallelSearch(std::move(root), search_opt, std::move(warm_start))
+          : Search(std::move(root), search_opt).run(std::move(warm_start));
   res.seconds = root_watch.seconds();  // include presolve + cut time
   // Cut-separation LPs are real (cold) LP work: report them, or the
   // telemetry under-counts solves and inflates the warm-start hit rate.

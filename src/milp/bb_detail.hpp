@@ -7,12 +7,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
+#include "lp/sparse/csc.hpp"
 #include "milp/bb.hpp"
 #include "support/timer.hpp"
 
 namespace rfp::milp::detail {
+
+/// What the root work of MilpSolver::solve hands a tree engine: the model
+/// the tree branches on (the caller's own, or a working copy once a cover
+/// cut was added), the presolved base bounds, the sparse matrix the root
+/// LPs already used (null: the engine builds one if the sparse engine
+/// runs), and the optimal basis of the last cut round when that round
+/// solved exactly the tree's root LP (null: the root is solved cold).
+/// Neither engine copies the model.
+struct TreeRoot {
+  const lp::Model* model = nullptr;
+  std::vector<double> lb, ub;
+  std::shared_ptr<const lp::sparse::CscMatrix> csc;
+  std::shared_ptr<const lp::sparse::Basis> basis;
+};
 
 /// One bound tightening relative to the parent node (chain representation
 /// keeps per-node memory O(1) regardless of model size).
@@ -129,12 +145,12 @@ inline void roundIntegers(const lp::Model& model, std::vector<double>& x) {
       x[static_cast<std::size_t>(j)] = std::round(x[static_cast<std::size_t>(j)]);
 }
 
-/// Work-stealing parallel branch & bound over `model` (bb_parallel.cpp):
+/// Work-stealing parallel branch & bound over `root` (bb_parallel.cpp):
 /// `opt.threads` workers with per-worker deques and private DualReoptimizer
 /// instances, cooperating through an atomic incumbent cutoff. With
 /// `opt.deterministic` the same workers run lock-step on one OS thread and
 /// the result carries a replay hash over the node order and steal schedule.
-[[nodiscard]] MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& opt,
+[[nodiscard]] MipResult runParallelSearch(TreeRoot root, const MilpSolver::Options& opt,
                                           std::optional<std::vector<double>> warm_start);
 
 }  // namespace rfp::milp::detail

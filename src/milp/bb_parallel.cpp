@@ -603,24 +603,21 @@ class PWorker {
 
 }  // namespace
 
-MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& opt,
+MipResult runParallelSearch(TreeRoot root, const MilpSolver::Options& opt,
                             std::optional<std::vector<double>> warm_start) {
   const Stopwatch watch;
   const int W = std::max(2, opt.threads);
+  const lp::Model& model = *root.model;
   SharedTree shared(model, opt);
   shared.minimize = model.objSense() == lp::ObjSense::kMinimize;
   shared.deterministic = opt.deterministic;
-  const int n = model.numVars();
-  shared.base_lb.resize(static_cast<std::size_t>(n));
-  shared.base_ub.resize(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    shared.base_lb[static_cast<std::size_t>(j)] = model.var(j).lb;
-    shared.base_ub[static_cast<std::size_t>(j)] = model.var(j).ub;
-  }
+  shared.base_lb = std::move(root.lb);
+  shared.base_ub = std::move(root.ub);
   shared.engine = lp::LpSolver(opt.lp).resolveEngine(model);
   if (shared.engine == lp::LpEngine::kSparse)
-    shared.csc =
-        std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(model));
+    shared.csc = root.csc ? std::move(root.csc)
+                          : std::make_shared<const lp::sparse::CscMatrix>(
+                                lp::sparse::CscMatrix::fromModel(model));
 
   MipResult res;
   res.lp_engine = shared.engine;
@@ -642,7 +639,9 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
   for (int i = 0; i < W; ++i) workers.push_back(std::make_unique<PWorker>(i, shared));
 
   shared.outstanding.store(1, std::memory_order_relaxed);
-  shared.deques[0]->pushBack(PNode{});  // root
+  PNode root_node;  // root
+  root_node.start_basis = std::move(root.basis);
+  shared.deques[0]->pushBack(std::move(root_node));
 
   if (opt.deterministic) {
     // Lock-step round-robin: one node quantum per worker per round, on this

@@ -28,16 +28,17 @@ void roundIntegerBounds(const lp::Model& model, int j, std::vector<double>& lb,
   }
 }
 
-/// One direction of activity-based tightening over `Σ terms ≤ rhs`.
-/// Returns false on proven infeasibility.
-bool tightenLeRow(const lp::Model& model, const std::vector<std::pair<int, double>>& terms,
-                  double rhs, std::vector<double>& lb, std::vector<double>& ub,
-                  int& changes, std::string& detail) {
+/// One direction of activity-based tightening over `Σ sign·terms ≤ rhs`
+/// (sign -1 reads a ≥ row as ≤). Returns false on proven infeasibility.
+bool tightenLeRow(const lp::Model& model, lp::RowTerms terms, double sign, double rhs,
+                  std::vector<double>& lb, std::vector<double>& ub, int& changes,
+                  std::string& detail) {
   // Minimal activity and whether it is finite.
   double min_act = 0.0;
   int infinite_terms = 0;
   int infinite_index = -1;
-  for (const auto& [j, a] : terms) {
+  for (const auto& [j, coef] : terms) {
+    const double a = sign * coef;
     const double contrib =
         a > 0 ? a * lb[static_cast<std::size_t>(j)] : a * ub[static_cast<std::size_t>(j)];
     const double bound_used =
@@ -58,7 +59,8 @@ bool tightenLeRow(const lp::Model& model, const std::vector<std::pair<int, doubl
   }
   if (infinite_terms > 1) return true;  // nothing can be implied
 
-  for (const auto& [j, a] : terms) {
+  for (const auto& [j, coef] : terms) {
+    const double a = sign * coef;
     const double bound_used =
         a > 0 ? lb[static_cast<std::size_t>(j)] : ub[static_cast<std::size_t>(j)];
     const bool this_infinite = std::abs(bound_used) >= kInf / 2;
@@ -94,33 +96,26 @@ bool tightenLeRow(const lp::Model& model, const std::vector<std::pair<int, doubl
 }  // namespace
 
 PresolveResult tightenBounds(const lp::Model& model, std::vector<double>& lb,
-                             std::vector<double>& ub, int max_rounds) {
+                             std::vector<double>& ub, int max_rounds,
+                             const std::atomic<bool>* stop) {
   PresolveResult res;
   for (int j = 0; j < model.numVars(); ++j)
     roundIntegerBounds(model, j, lb, ub, res.tightened_bounds);
 
   for (int round = 0; round < max_rounds; ++round) {
+    if (stop && stop->load(std::memory_order_relaxed)) break;
     int changes = 0;
     for (int i = 0; i < model.numConstrs(); ++i) {
-      const lp::Constraint& c = model.constr(i);
+      const lp::Constraint c = model.constr(i);
       std::string detail;
       // `expr ≤ rhs` (and the mirrored row for ≥ / =).
-      if (c.sense != lp::Sense::kGreaterEqual) {
-        if (!tightenLeRow(model, c.terms, c.rhs, lb, ub, changes, detail)) {
-          res.infeasible = true;
-          res.detail = c.name + ": " + detail;
-          return res;
-        }
-      }
-      if (c.sense != lp::Sense::kLessEqual) {
-        std::vector<std::pair<int, double>> negated;
-        negated.reserve(c.terms.size());
-        for (const auto& [j, a] : c.terms) negated.emplace_back(j, -a);
-        if (!tightenLeRow(model, negated, -c.rhs, lb, ub, changes, detail)) {
-          res.infeasible = true;
-          res.detail = c.name + ": " + detail;
-          return res;
-        }
+      if ((c.sense != lp::Sense::kGreaterEqual &&
+           !tightenLeRow(model, c.terms, 1.0, c.rhs, lb, ub, changes, detail)) ||
+          (c.sense != lp::Sense::kLessEqual &&
+           !tightenLeRow(model, c.terms, -1.0, -c.rhs, lb, ub, changes, detail))) {
+        res.infeasible = true;
+        res.detail = std::string(c.name) + ": " + detail;
+        return res;
       }
     }
     res.tightened_bounds += changes;
@@ -134,7 +129,7 @@ std::vector<CoverCut> separateCoverCuts(const lp::Model& model, std::span<const 
                                         int max_cuts, double min_violation) {
   std::vector<CoverCut> cuts;
   for (int i = 0; i < model.numConstrs(); ++i) {
-    const lp::Constraint& c = model.constr(i);
+    const lp::Constraint c = model.constr(i);
     if (c.sense != lp::Sense::kLessEqual || c.rhs <= 0) continue;
 
     // Knapsack shape: all-binary support, positive coefficients.

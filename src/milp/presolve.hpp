@@ -16,6 +16,8 @@
 //    through big-M constraints.
 #pragma once
 
+#include <atomic>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,9 +34,12 @@ struct PresolveResult {
 
 /// Tightens `lb`/`ub` in place for `model`'s constraints. Integer variables'
 /// bounds are rounded inward. Returns infeasible=true when some row cannot
-/// be satisfied within the (tightened) bounds.
+/// be satisfied within the (tightened) bounds. A raised `stop` ends the
+/// fixed-point iteration after the current round; every round's bounds are
+/// valid on their own.
 [[nodiscard]] PresolveResult tightenBounds(const lp::Model& model, std::vector<double>& lb,
-                                           std::vector<double>& ub, int max_rounds = 10);
+                                           std::vector<double>& ub, int max_rounds = 10,
+                                           const std::atomic<bool>* stop = nullptr);
 
 /// A separated cover cut: Σ_{j∈vars} x_j ≤ rhs.
 struct CoverCut {

@@ -114,9 +114,7 @@ TEST(DriverPortfolio, MatchesTheExactOptimumOnTheSdrProblem) {
   const Driver drv;
   SolveRequest req;
   req.num_threads = 2;
-  // Ample for the provers; short enough that the staged first slice (a
-  // quarter of this) does not dominate the test's wall clock.
-  req.deadline_seconds = 12.0;
+  req.deadline_seconds = 12.0;  // ample for the provers
   const SolveResponse res = drv.solvePortfolio(sdr, req);
   ASSERT_EQ(res.status, SolveStatus::kOptimal) << res.detail;
   EXPECT_EQ(res.costs.wasted_frames, ref.costs.wasted_frames);
@@ -220,6 +218,7 @@ TEST(DriverPortfolio, StagedDeadlinesSeedTheProversAndReportTelemetry) {
   SolveRequest req;
   req.num_threads = 2;
   req.deadline_seconds = 12.0;
+  req.staged_deadlines = true;      // staging is opt-in
   req.annealer.iterations = 20000;  // a quick stage-1 publisher
   const SolveResponse res = drv.solvePortfolio(sdr, req);
   ASSERT_EQ(res.status, SolveStatus::kOptimal) << res.detail;
@@ -235,10 +234,35 @@ TEST(DriverPortfolio, StagedDeadlinesSeedTheProversAndReportTelemetry) {
   }
 }
 
+TEST(DriverPortfolio, DefaultRaceIsFlatAndTracksTheWinner) {
+  // The default portfolio is one cooperative flat race: every member starts
+  // at once, and the first proof cancels the rest, so the request takes
+  // about as long as its winner.
+  const device::Device dev = device::virtex5FX70T();
+  model::FloorplanProblem sdr2 = model::makeSdrProblem(dev);
+  model::addSdrRelocations(sdr2, 2);
+  const Driver drv;
+  SolveRequest req;
+  req.deadline_seconds = 6.0;
+  const SolveResponse res = drv.solvePortfolio(sdr2, req);
+  ASSERT_EQ(res.status, SolveStatus::kOptimal) << res.detail;
+  EXPECT_FALSE(res.incumbent.staged) << res.detail;
+  ASSERT_EQ(res.members.size(), 4u);
+  double winner_seconds = -1.0;
+  for (const PortfolioMemberStats& m : res.members) {
+    EXPECT_EQ(m.stage, 0) << toString(m.backend);
+    if (m.backend == res.backend) winner_seconds = m.seconds;
+  }
+  ASSERT_GE(winner_seconds, 0.0) << res.detail;
+  EXPECT_LE(res.seconds, 1.5 * winner_seconds + 0.1) << res.detail;
+  EXPECT_EQ(model::check(sdr2, res.plan), "");
+}
+
 TEST(DriverPortfolio, ExchangeNeverWorseThanTheBlindRace) {
-  // Satellite invariant: with the incumbent channel (and staging), the
-  // portfolio never returns a worse floorplan than the blind flat race on
-  // the same instance — in either objective mode.
+  // Satellite invariant: with the incumbent channel, the portfolio never
+  // returns a worse floorplan than the blind flat race on the same
+  // instance — neither the cooperative flat race (the default) nor the
+  // staged one, in either objective mode.
   const device::Device dev = device::columnarFromPattern("t", "CCBCCDCCCCBC", 6);
   model::GeneratorOptions gopt;
   gopt.num_regions = 3;
@@ -260,16 +284,18 @@ TEST(DriverPortfolio, ExchangeNeverWorseThanTheBlindRace) {
       req.incumbent_exchange = false;
       req.staged_deadlines = false;
       const SolveResponse blind = drv.solvePortfolio(*p, req);
-      req.incumbent_exchange = true;
-      req.staged_deadlines = true;
-      const SolveResponse coop = drv.solvePortfolio(*p, req);
-
       ASSERT_TRUE(blind.hasSolution()) << "seed " << seed << ": " << blind.detail;
-      ASSERT_TRUE(coop.hasSolution()) << "seed " << seed << ": " << coop.detail;
-      EXPECT_FALSE(model::strictlyBetter(*p, blind.costs, coop.costs))
-          << "seed " << seed << " lex=" << lexicographic << ": exchange lost ("
-          << coop.detail << ")";
-      EXPECT_EQ(model::check(*p, coop.plan), "") << "seed " << seed;
+      req.incumbent_exchange = true;
+      for (const bool staged : {false, true}) {
+        req.staged_deadlines = staged;
+        const SolveResponse coop = drv.solvePortfolio(*p, req);
+        ASSERT_TRUE(coop.hasSolution()) << "seed " << seed << ": " << coop.detail;
+        EXPECT_EQ(coop.incumbent.staged, staged) << coop.detail;
+        EXPECT_FALSE(model::strictlyBetter(*p, blind.costs, coop.costs))
+            << "seed " << seed << " lex=" << lexicographic << " staged=" << staged
+            << ": exchange lost (" << coop.detail << ")";
+        EXPECT_EQ(model::check(*p, coop.plan), "") << "seed " << seed;
+      }
     }
     EXPECT_GE(exercised, 2);
   }
@@ -955,6 +981,7 @@ TEST(DriverPortfolio, QuietChannelEndsStageOneEarly) {
   SolveRequest req;
   req.portfolio = {Backend::kAnnealer, Backend::kSearch};
   req.deadline_seconds = 30.0;
+  req.staged_deadlines = true;
   req.stage1_fraction = 0.5;          // nominal slice: 10s (stage1_max cap)
   req.stage1_quiet_fraction = 0.05;   // quiet for 0.5s => end stage 1
   req.annealer.iterations = 2000000000L;  // would fill the whole slice

@@ -1027,7 +1027,8 @@ TEST(MilpSparse, ChildNodesReoptimizeThroughDualSimplex) {
 
 TEST(MilpSparse, CscMatrixBuiltExactlyOncePerTree) {
   // A fractional knapsack forces branching; the whole tree (root + every
-  // node reoptimization) must share a single CSC build.
+  // node reoptimization) must share a single CSC build. (Rows need no build
+  // at all: the engines read them in place from the model.)
   Model m;
   const std::vector<double> w{3, 5, 7, 4, 6};
   const std::vector<double> c{4, 5, 6, 3, 7};
@@ -1042,13 +1043,36 @@ TEST(MilpSparse, CscMatrixBuiltExactlyOncePerTree) {
 
   MilpSolver::Options opt;
   opt.lp.engine = lp::LpEngine::kSparse;
-  opt.enable_cover_cuts = false;  // cut rounds re-solve a mutating model
+  opt.enable_cover_cuts = false;  // a found cut changes the rows: one more build
   const long before = lp::sparse::CscMatrix::buildCount();
   const MipResult res = MilpSolver(opt).solve(m);
   const long built = lp::sparse::CscMatrix::buildCount() - before;
   ASSERT_EQ(res.status, MipStatus::kOptimal);
   EXPECT_GT(res.nodes, 1);  // the instance must actually branch
   EXPECT_EQ(built, 1) << "every node solve should reuse the tree's CSC build";
+}
+
+TEST(MilpSparse, RootCutRoundsShareTheTreeMatrixWhenNoCutIsFound) {
+  // Cover-cut rounds solve the root LP on the caller's model; when they add
+  // no row, the tree reuses their matrix cache: one build for the solve.
+  Model m;
+  LinExpr row, obj;
+  const std::vector<double> w{3, -5, 7, 4, -6};  // mixed signs: never a knapsack
+  for (int j = 0; j < 5; ++j) {
+    m.addBinary("b");
+    row += w[static_cast<std::size_t>(j)] * Var{j};
+    obj += (1.0 + j) * Var{j};
+  }
+  m.addConstr(row, Sense::kLessEqual, 2.5);  // LP point fractional: 3 + 7 + 4 > 13.5
+  m.setObjective(obj, ObjSense::kMaximize);
+
+  MilpSolver::Options opt;
+  opt.lp.engine = lp::LpEngine::kSparse;
+  const long before = lp::sparse::CscMatrix::buildCount();
+  const MipResult res = MilpSolver(opt).solve(m);
+  ASSERT_EQ(res.status, MipStatus::kOptimal);
+  EXPECT_GT(res.nodes, 1);  // the instance must actually branch
+  EXPECT_EQ(lp::sparse::CscMatrix::buildCount() - before, 1);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <optional>
 
+#include "lp/lp_solver.hpp"
 #include "milp/bb.hpp"
+#include "milp/presolve.hpp"
 #include "support/rng.hpp"
 
 namespace rfp::milp {
@@ -101,6 +103,37 @@ TEST(Milp, NodeLimitReportsTruncation) {
   EXPECT_TRUE(r.status == MipStatus::kFeasible || r.status == MipStatus::kNoSolution ||
               r.status == MipStatus::kOptimal);
   EXPECT_LE(r.nodes, 2 + opt.plunge_depth);
+}
+
+TEST(Milp, SolveLeavesTheCallersModelUnchanged) {
+  // Presolve tightens bound vectors and cover cuts go into a working copy,
+  // so the caller's model keeps its bounds and rows whether or not the root
+  // separation finds a cut. z's bound [0, 10] presolves to [0, 3] via 2z <= 7.
+  for (const bool knapsack : {true, false}) {
+    Model m;
+    const Var a = m.addBinary("a"), b = m.addBinary("b"), c = m.addBinary("c");
+    const Var z = m.addInteger(0, 10, "z");
+    m.addConstr(2.0 * z, Sense::kLessEqual, 7);
+    if (knapsack) {
+      // Any two items overflow: the LP point (1, 2/3, 0) violates a + b <= 1.
+      m.addConstr(3.0 * a + 3.0 * b + 3.0 * c, Sense::kLessEqual, 5);
+    } else {
+      // Mixed signs: not a knapsack row, nothing to separate.
+      m.addConstr(3.0 * a - 3.0 * b + 3.0 * c, Sense::kLessEqual, 5);
+    }
+    m.setObjective(LinExpr(a) + b + c + z, ObjSense::kMaximize);
+    const lp::LpResult root = lp::LpSolver().solve(m);
+    ASSERT_EQ(root.status, lp::LpStatus::kOptimal);
+    ASSERT_EQ(separateCoverCuts(m, root.x).empty(), !knapsack);
+
+    const std::string before = m.toString();
+    const MipResult r = MilpSolver().solve(m);
+    ASSERT_EQ(r.status, MipStatus::kOptimal) << "knapsack=" << knapsack;
+    EXPECT_NEAR(r.objective, knapsack ? 4.0 : 6.0, 1e-6);
+    EXPECT_EQ(m.numConstrs(), 2);
+    EXPECT_EQ(m.var(z.index).ub, 10.0);
+    EXPECT_EQ(m.toString(), before) << "knapsack=" << knapsack;
+  }
 }
 
 TEST(Milp, EqualityConstrainedAssignment) {

@@ -1,9 +1,15 @@
 // End-to-end tests for the O and HO MILP floorplanning flows.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "device/builders.hpp"
 #include "fp/milp_floorplanner.hpp"
+#include "model/problem.hpp"
 #include "search/solver.hpp"
+#include "support/timer.hpp"
 
 namespace rfp::fp {
 namespace {
@@ -101,6 +107,62 @@ TEST(MilpFloorplanner, InfeasibleProblemReported) {
   opt.algorithm = Algorithm::kO;
   const FpResult res = MilpFloorplanner(opt).solve(p);
   EXPECT_FALSE(res.hasSolution());
+}
+
+// ---- cancellation and deadlines at paper scale ------------------------------
+//
+// Every stage of a MILP-O run polls the stop flag and the deadline — the
+// formulation build, presolve, each simplex iteration — and no stage in
+// between runs long (the sparse LU no longer refactorizes quadratically in
+// the structural column lengths). A portfolio's proof therefore cancels a
+// MILP member promptly wherever it is, and a time limit holds.
+
+model::FloorplanProblem sdr2Problem(const device::Device& dev) {
+  model::FloorplanProblem p = model::makeSdrProblem(dev);
+  model::addSdrRelocations(p, 2);
+  return p;
+}
+
+TEST(MilpFloorplanner, StopFlagEndsAPaperScaleSolveWithinATenthOfASecond) {
+  const device::Device dev = device::virtex5FX70T();
+  const model::FloorplanProblem p = sdr2Problem(dev);
+  // Early: heuristic stage or formulation build; late: the root LP.
+  for (const double raise_after : {0.05, 0.4}) {
+    std::atomic<bool> stop{false};
+    MilpFloorplannerOptions opt;
+    opt.algorithm = Algorithm::kO;
+    opt.lexicographic = p.lexicographic();
+    opt.milp.stop = &stop;
+    Stopwatch watch;
+    double raised_at = 0.0;
+    std::thread raiser([&] {
+      std::this_thread::sleep_for(std::chrono::duration<double>(raise_after));
+      raised_at = watch.seconds();
+      stop.store(true);
+    });
+    const FpResult res = MilpFloorplanner(opt).solve(p);
+    const double returned_at = watch.seconds();
+    raiser.join();
+    EXPECT_LT(returned_at - raised_at, 0.1) << "stop raised at " << raised_at << "s";
+    EXPECT_NE(res.status, FpStatus::kOptimal) << res.detail;  // cancelled: no proof
+    if (res.hasSolution()) {
+      EXPECT_EQ(model::check(p, res.plan), "");
+    }
+  }
+}
+
+TEST(MilpFloorplanner, TimeLimitHoldsAtPaperScale) {
+  const device::Device dev = device::virtex5FX70T();
+  const model::FloorplanProblem p = sdr2Problem(dev);
+  MilpFloorplannerOptions opt;
+  opt.algorithm = Algorithm::kO;
+  opt.lexicographic = p.lexicographic();
+  opt.time_limit_seconds = 2.0;
+  Stopwatch watch;
+  const FpResult res = MilpFloorplanner(opt).solve(p);
+  EXPECT_LT(watch.seconds(), 2.1) << res.detail;
+  ASSERT_TRUE(res.hasSolution()) << res.detail;  // the constructive warm start
+  EXPECT_EQ(model::check(p, res.plan), "");
 }
 
 }  // namespace
