@@ -222,7 +222,7 @@ void accumulate(ReoptPathStats& stats, const lp::LpResult& r, double seconds,
 
 /// Root solve + a branch & bound style dive replayed over both reopt paths.
 ///
-/// The dive mirrors what `milp/bb.cpp` plunging does: each node tightens
+/// The dive mirrors a B&B worker's depth-first plunge: each node tightens
 /// one fractional integer variable toward its nearest integer (cumulative
 /// bounds) and reoptimizes from the *previous* node's optimal basis. The
 /// dual path runs through the persistent `DualReoptimizer` (live factors,

@@ -7,12 +7,12 @@
 //    2 relocation requests per region (the Fig. 4 configuration). The
 //    8-thread run fans the root candidates out over work-stealing workers;
 //    status and final cost (wasted frames, wire length) must be identical
-//    to the sequential run — thread count may change which optimal plan is
+//    to the 1-worker run — thread count may change which optimal plan is
 //    returned, never how good it is.
 //  * milp — the from-scratch MILP branch & bound over a fixed set of
-//    random binary programs (the parallel engine with per-worker dual
+//    random binary programs (the work-stealing engine with per-worker dual
 //    reoptimizers and stolen-basis adoption). Statuses and objectives must
-//    match the sequential solver on every instance.
+//    match the 1-worker solve on every instance.
 //
 // The headline figure is node throughput (B&B nodes per second) at 8
 // workers vs 1. The >= 3x acceptance bar only means anything with >= 8

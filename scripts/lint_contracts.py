@@ -38,15 +38,15 @@ from typing import Callable, List, NamedTuple
 
 # --- repo-specific contract data -------------------------------------------
 
-# Files allowed to spawn std::thread directly: the driver/solver worker pools
-# and the progress ticker. Everything else must go through these layers.
+# Files allowed to spawn std::thread directly: the driver pools, the
+# progress ticker, and the in-solve work-stealing pool both tree engines run
+# on. Everything else must go through these layers.
 THREAD_ALLOWLIST = {
     "src/driver/batch.cpp",
     "src/driver/portfolio.cpp",
     "src/driver/backend_runner.cpp",
     "src/driver/backend_runner.hpp",
-    "src/milp/bb_parallel.cpp",
-    "src/search/solver.cpp",
+    "src/support/steal_pool.hpp",
 }
 
 # The file that is allowed to mention raw standard sync primitives: it wraps
@@ -131,7 +131,7 @@ def rule_raw_sync(rel: str, text: str) -> List[Violation]:
                 rel, line_of(code, m.start()), "raw-sync",
                 "std::thread is restricted to the pool internals "
                 "(driver/batch, driver/portfolio, driver/backend_runner, "
-                "milp/bb_parallel, search/solver)"))
+                "support/steal_pool)"))
     return out
 
 

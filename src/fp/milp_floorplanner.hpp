@@ -91,8 +91,8 @@ struct FpResult {
   long lp_btran_sparse = 0;
   long lp_btran_dense = 0;
   long lp_dse_updates = 0;
-  // In-solve work-stealing telemetry (milp.threads > 1): per-worker figures
-  // summed by worker id across the MILP stages, plus the steal total.
+  // In-solve work-stealing telemetry: per-worker figures summed by worker id
+  // across the MILP stages, plus the steal total.
   std::vector<milp::MipWorkerStats> workers;
   long steals = 0;
   // Incumbent-exchange telemetry (zero without a channel).

@@ -1,5 +1,7 @@
 #include "io/problem_text.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <map>
 #include <sstream>
 
@@ -7,6 +9,22 @@
 #include "support/strings.hpp"
 
 namespace rfp::io {
+
+namespace {
+
+/// A net or relocation weight: the whole token must be a finite number
+/// >= 0, since the cost bounds of every engine assume non-negative weights.
+double parseWeight(const std::string& token, int lineno, const char* what) {
+  double v = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  RFP_CHECK_MSG(ec == std::errc() && ptr == end && std::isfinite(v) && v >= 0.0,
+                "line " << lineno << ": " << what << " '" << token
+                        << "' must be a finite number >= 0");
+  return v;
+}
+
+}  // namespace
 
 model::FloorplanProblem parseProblem(const std::string& text, const device::Device& dev) {
   model::FloorplanProblem problem(&dev);
@@ -51,7 +69,7 @@ model::FloorplanProblem parseProblem(const std::string& text, const device::Devi
       RFP_CHECK_MSG(tok.size() >= 4,
                     "line " << lineno << ": net <weight> <region> <region> [...]");
       model::Net net;
-      net.weight = std::stod(tok[1]);
+      net.weight = parseWeight(tok[1], lineno, "net weight");
       net.name = "net_" + std::to_string(problem.nets().size());
       for (std::size_t i = 2; i < tok.size(); ++i)
         net.regions.push_back(regionOf(tok[i], lineno));
@@ -73,7 +91,7 @@ model::FloorplanProblem parseProblem(const std::string& text, const device::Devi
           req.count = std::stoi(kv[1]);
           have_count = true;
         } else if (kv[0] == "weight") {
-          req.weight = std::stod(kv[1]);
+          req.weight = parseWeight(kv[1], lineno, "relocation weight");
         } else {
           RFP_CHECK_MSG(false, "line " << lineno << ": unknown attribute '" << kv[0] << "'");
         }

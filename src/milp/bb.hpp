@@ -8,7 +8,9 @@
 //    optimal basis instead of solving each relaxation cold (the tree solves
 //    thousands of near-identical LPs; a warm solve is typically a handful
 //    of pivots),
-//  * hybrid node selection: best-bound with depth-first "plunging",
+//  * one tree engine at every thread count (bb_parallel.cpp): workers dive
+//    depth-first from their own deques and steal the shallowest half of a
+//    peer's when dry (support/steal_pool.hpp),
 //  * most-fractional / pseudo-cost branching,
 //  * rounding primal heuristic to find incumbents early,
 //  * MIP-gap, node-limit and wall-clock termination,
@@ -42,8 +44,8 @@ enum class MipStatus {
 
 [[nodiscard]] const char* toString(MipStatus s) noexcept;
 
-/// Per-worker telemetry from the work-stealing parallel engine (one entry
-/// per worker when Options::threads > 1; empty for sequential solves).
+/// Per-worker telemetry from the work-stealing tree engine: one entry per
+/// worker, so a one-worker solve reports one entry.
 struct MipWorkerStats {
   int id = 0;
   long nodes = 0;         ///< nodes this worker expanded
@@ -86,7 +88,8 @@ struct MipResult {
   // Incumbent-exchange telemetry (zero without the callbacks below).
   long external_adoptions = 0;  ///< external incumbents adopted as the cutoff
   long cutoff_prunes = 0;       ///< nodes pruned against an external cutoff
-  // Parallel-engine telemetry (empty/zero for sequential solves).
+  // Tree-engine telemetry (empty when no tree ran: pure LPs, presolve
+  // infeasibility).
   std::vector<MipWorkerStats> workers;
   long steals = 0;  ///< successful steal operations across all workers
   /// Deterministic-replay digest over the node expansion order and steal
@@ -106,21 +109,20 @@ class MilpSolver {
     long node_limit = 0;              ///< <= 0: none
     double gap_tol = 1e-6;            ///< relative MIP gap for optimality
     double int_tol = 1e-6;            ///< integrality tolerance
-    int plunge_depth = 64;            ///< DFS dives from each best-bound node
     bool enable_rounding_heuristic = true;
     bool enable_presolve = true;      ///< root bound tightening (presolve.hpp)
     bool enable_cover_cuts = true;    ///< root knapsack cover cuts
     int cut_rounds = 5;               ///< max root separation rounds
     bool pseudo_cost_branching = true;  ///< reliability-style var selection
     bool log_progress = false;
-    /// In-solve parallelism: branch & bound workers over one tree. <= 1 runs
-    /// the sequential engine. Workers own private node deques (and private
-    /// dual reoptimizers) and steal half a victim's shallowest nodes when
-    /// theirs drains; the incumbent is the shared pruning cutoff. Thread
-    /// count changes which optimal solution is returned, never the final
-    /// status or objective.
+    /// In-solve parallelism: max(1, threads) branch & bound workers over one
+    /// tree, the first on the calling thread. Workers own private node
+    /// deques (and private dual reoptimizers) and steal half a victim's
+    /// shallowest nodes when theirs drains; the incumbent is the shared
+    /// pruning cutoff. Thread count changes which optimal solution is
+    /// returned, never the final status or objective.
     int threads = 1;
-    /// Deterministic replay (threads > 1): the same logical workers run
+    /// Deterministic replay: the same logical workers run
     /// lock-step on one OS thread in a fixed round-robin schedule, making
     /// node order, steal schedule and MipResult::replay_hash identical
     /// across runs. A testing mode — no wall-clock speedup.

@@ -1,8 +1,7 @@
-// Internal helpers shared by the sequential (bb.cpp) and parallel
-// (bb_parallel.cpp) branch & bound engines: LP option derivation, branching
-// variable selection, pseudo-cost bookkeeping and integer rounding. Both
-// engines must make identical per-node decisions given identical state, so
-// the decision logic lives here exactly once.
+// Internal helpers of the branch & bound: LP option derivation, LP work
+// accounting, branching variable selection, pseudo-cost bookkeeping and
+// integer rounding, shared by the root work (bb.cpp) and the tree engine
+// (bb_parallel.cpp).
 #pragma once
 
 #include <algorithm>
@@ -22,7 +21,7 @@ namespace rfp::milp::detail {
 /// LPs already used (null: the engine builds one if the sparse engine
 /// runs), and the optimal basis of the last cut round when that round
 /// solved exactly the tree's root LP (null: the root is solved cold).
-/// Neither engine copies the model.
+/// The engine does not copy the model.
 struct TreeRoot {
   const lp::Model* model = nullptr;
   std::vector<double> lb, ub;
@@ -62,6 +61,46 @@ inline lp::LpSolver::Options cappedLpOptions(const MilpSolver::Options& opt,
 
 [[nodiscard]] inline double clampedRemaining(const Deadline& deadline) {
   return deadline.limit() > 0 ? std::max(0.01, deadline.remaining()) : 0.0;
+}
+
+/// Adds one LP's work (pivots, factor updates, triangular solves) to the
+/// lp_* counters of `res`. `solved = false` is for a dual attempt that gave
+/// up before its node was solved another way: its effort counts, but it is
+/// not a solve.
+inline void addLpWork(MipResult& res, const lp::LpResult& rel, bool solved = true) {
+  res.lp_iterations += rel.iterations;
+  res.lp_refactorizations += rel.refactorizations;
+  res.lp_primal_pivots += rel.primal_pivots;
+  res.lp_dual_pivots += rel.dual_pivots;
+  res.lp_bound_flips += rel.bound_flips;
+  res.lp_ft_updates += rel.ft_updates;
+  res.lp_ftran_sparse += rel.ftran_sparse;
+  res.lp_ftran_dense += rel.ftran_dense;
+  res.lp_btran_sparse += rel.btran_sparse;
+  res.lp_btran_dense += rel.btran_dense;
+  res.lp_dse_updates += rel.dse_updates;
+  if (!solved) return;
+  ++res.lp_solves;
+  res.lp_warm_hits += rel.warm_started ? 1 : 0;
+  res.lp_dual_reopts += rel.dual_reopt ? 1 : 0;
+}
+
+/// Adds the lp_* counters of `part` to those of `res`.
+inline void addLpWork(MipResult& res, const MipResult& part) {
+  res.lp_iterations += part.lp_iterations;
+  res.lp_refactorizations += part.lp_refactorizations;
+  res.lp_primal_pivots += part.lp_primal_pivots;
+  res.lp_dual_pivots += part.lp_dual_pivots;
+  res.lp_bound_flips += part.lp_bound_flips;
+  res.lp_ft_updates += part.lp_ft_updates;
+  res.lp_ftran_sparse += part.lp_ftran_sparse;
+  res.lp_ftran_dense += part.lp_ftran_dense;
+  res.lp_btran_sparse += part.lp_btran_sparse;
+  res.lp_btran_dense += part.lp_btran_dense;
+  res.lp_dse_updates += part.lp_dse_updates;
+  res.lp_solves += part.lp_solves;
+  res.lp_warm_hits += part.lp_warm_hits;
+  res.lp_dual_reopts += part.lp_dual_reopts;
 }
 
 /// Most-fractional selection (binaries first), the pseudo-cost fallback.
@@ -145,12 +184,13 @@ inline void roundIntegers(const lp::Model& model, std::vector<double>& x) {
       x[static_cast<std::size_t>(j)] = std::round(x[static_cast<std::size_t>(j)]);
 }
 
-/// Work-stealing parallel branch & bound over `root` (bb_parallel.cpp):
-/// `opt.threads` workers with per-worker deques and private DualReoptimizer
-/// instances, cooperating through an atomic incumbent cutoff. With
-/// `opt.deterministic` the same workers run lock-step on one OS thread and
-/// the result carries a replay hash over the node order and steal schedule.
-[[nodiscard]] MipResult runParallelSearch(TreeRoot root, const MilpSolver::Options& opt,
-                                          std::optional<std::vector<double>> warm_start);
+/// Work-stealing branch & bound over `root` (bb_parallel.cpp):
+/// max(1, opt.threads) workers with per-worker deques and private
+/// DualReoptimizer instances, cooperating through an atomic incumbent
+/// cutoff; worker 0 runs on the calling thread. With `opt.deterministic`
+/// the same workers run lock-step on one OS thread and the result carries a
+/// replay hash over the node order and steal schedule.
+[[nodiscard]] MipResult runTreeSearch(TreeRoot root, const MilpSolver::Options& opt,
+                                      std::optional<std::vector<double>> warm_start);
 
 }  // namespace rfp::milp::detail

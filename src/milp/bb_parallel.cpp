@@ -1,14 +1,15 @@
-// Work-stealing parallel branch & bound (MilpSolver::Options::threads > 1).
+// Work-stealing branch & bound: the one tree engine behind
+// MilpSolver::solve, at every Options::threads value (W = max(1, threads)
+// workers; worker 0 runs on the calling thread).
 //
 // Architecture (SNIPPETS.md Snippet 2 is the blueprint, adapted to this
 // repo's warm-start substrate):
-//  * every worker owns a finely-locked deque of open nodes and expands from
-//    its back — LIFO pops reproduce the sequential engine's depth-first
-//    plunge, so each worker dives a subtree with hot parent bases;
-//  * a worker whose deque drains steals the front *half* of the first
-//    non-empty victim deque — front entries are the shallowest nodes, which
-//    root the largest unexplored subtrees, so one steal buys a long stretch
-//    of independent work;
+//  * scheduling is support/steal_pool.hpp: every worker expands from the
+//    back of its own deque — LIFO pops give a depth-first plunge, so each
+//    worker dives a subtree with hot parent bases — and a dry worker steals
+//    the oldest half of a victim's deque (the shallowest nodes, which root
+//    the largest unexplored subtrees); an outstanding-node count decides
+//    termination;
 //  * nodes carry their bound-change chain as an immutable shared_ptr spine
 //    (a node arena would need a global lock; the chain is lock-free to read
 //    and O(1) per node) plus the exported parent Basis, so a thief
@@ -22,12 +23,7 @@
 //    objective that every worker prunes against at node boundaries
 //    (externally, SharedIncumbent plugs in through the poll/publish
 //    callbacks — both serialized here because the fp-layer wrappers carry
-//    unsynchronized mutable captures);
-//  * termination: an atomic count of open nodes (root = 1, +2 per branch,
-//    -1 per finished node). Idle workers spin-steal until it reaches zero —
-//    deques can all be momentarily empty while a peer is still expanding a
-//    node that will repopulate them, so "all deques empty" alone is not
-//    termination.
+//    unsynchronized mutable captures).
 //
 // Deterministic replay (Options::deterministic): the same logical workers
 // run lock-step on one OS thread in a fixed round-robin schedule with a
@@ -36,17 +32,15 @@
 // which tests compare across runs.
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "milp/bb_detail.hpp"
 #include "support/log.hpp"
+#include "support/steal_pool.hpp"
 #include "support/sync.hpp"
 #include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
@@ -84,54 +78,7 @@ struct ReplayHash {
   void mixDouble(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
 };
 
-/// Finely-locked work deque. The owner pushes and pops at the back (the
-/// depth-first dive); thieves take half from the front (the shallowest,
-/// biggest subtrees). One mutex per deque: owner and thief only collide on
-/// this worker's queue, never globally.
-class NodeDeque {
- public:
-  void pushBack(PNode n) {
-    const sync::MutexLock lock(mu_);
-    q_.push_back(std::move(n));
-  }
-
-  bool popBack(PNode& out) {
-    const sync::MutexLock lock(mu_);
-    if (q_.empty()) return false;
-    out = std::move(q_.back());
-    q_.pop_back();
-    return true;
-  }
-
-  /// Steal-half policy: moves the front ceil(size/2) nodes into `out`.
-  int stealHalf(std::vector<PNode>& out) {
-    const sync::MutexLock lock(mu_);
-    const int take = static_cast<int>((q_.size() + 1) / 2);
-    for (int i = 0; i < take; ++i) {
-      out.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
-    return take;
-  }
-
-  /// Weakest dual bound among the leftover nodes (+inf when empty) — the
-  /// truncated-run bound, mirroring the sequential engine's heap top.
-  double minBound() const {
-    const sync::MutexLock lock(mu_);
-    double b = lp::kInfinity;
-    for (const PNode& n : q_) b = std::min(b, n.lp_bound);
-    return b;
-  }
-
-  bool empty() const {
-    const sync::MutexLock lock(mu_);
-    return q_.empty();
-  }
-
- private:
-  mutable sync::Mutex mu_;
-  std::deque<PNode> q_ RFP_GUARDED_BY(mu_);
-};
+using NodePool = sync::StealPool<PNode>;
 
 class PWorker;
 
@@ -145,10 +92,8 @@ struct SharedTree {
   lp::LpEngine engine = lp::LpEngine::kDense;
   Deadline deadline;
 
-  std::vector<std::unique_ptr<NodeDeque>> deques;
-  /// Open-node count: nodes sitting in deques plus nodes being expanded.
-  /// Zero means the tree is exhausted (the termination signal).
-  std::atomic<long> outstanding{0};
+  /// Open nodes: queued plus being expanded. Exhausted = tree done.
+  NodePool pool;
   std::atomic<long> total_nodes{0};
   /// Abnormal-stop latch: deadline, node limit, external stop, unbounded
   /// root. Workers observe it at node boundaries and drain out.
@@ -180,8 +125,8 @@ struct SharedTree {
   bool deterministic = false;
   ReplayHash replay;
 
-  SharedTree(const lp::Model& m, const MilpSolver::Options& o)
-      : model(m), opt(o), deadline(o.time_limit_seconds) {}
+  SharedTree(const lp::Model& m, const MilpSolver::Options& o, int workers)
+      : model(m), opt(o), deadline(o.time_limit_seconds), pool(workers) {}
 
   [[nodiscard]] double signedObj(double user) const { return minimize ? user : -user; }
   [[nodiscard]] double userObj(double internal) const { return minimize ? internal : -internal; }
@@ -193,7 +138,7 @@ struct SharedTree {
     return opt.gap_tol * std::max(1.0, std::abs(cutoff.load(std::memory_order_relaxed)));
   }
   /// Cutoff test against the shared incumbent (counts external-cutoff
-  /// prunes like the sequential engine).
+  /// prunes).
   [[nodiscard]] bool prunedByCutoff(double bound) {
     if (!has_incumbent.load(std::memory_order_acquire)) return false;
     if (bound < cutoff.load(std::memory_order_relaxed) - absGapSlack()) return false;
@@ -223,13 +168,17 @@ struct SharedTree {
       opt.incumbent_publish(snapshot);
     }
     telemetry::instant(opt.telemetry, "incumbent", external ? "adopt" : "publish",
-                       "objective", userObj(obj), "engine", "milp-par");
+                       "objective", userObj(obj), "engine", "milp");
     return true;
   }
 
-  /// Polls the external incumbent channel (same adoption rules as the
-  /// sequential engine). try_lock: if a peer is already polling, this
-  /// worker skips — the channel is shared, one reader per version suffices.
+  /// Polls the external incumbent channel and adopts its point as the
+  /// cutoff when it is integer-feasible for this (possibly cut-augmented)
+  /// model and beats the incumbent. Cover cuts preserve every
+  /// integer-feasible point, so a genuinely feasible external plan passes;
+  /// HO's sequence-pair rows legitimately reject plans outside the
+  /// restricted space. try_lock: if a peer is already polling, this worker
+  /// skips — the channel is shared, one reader per version suffices.
   void pollExternal() {
     if (!opt.incumbent_poll) return;
     if (!callback_mu.try_lock()) return;
@@ -244,7 +193,7 @@ struct SharedTree {
     if (offerIncumbent(std::move(*x), obj, true)) {
       external_adoptions.fetch_add(1, std::memory_order_relaxed);
       if (opt.log_progress)
-        RFP_LOG_INFO("milp[par]: adopted external incumbent " << userObj(obj));
+        RFP_LOG_INFO("milp: adopted external incumbent " << userObj(obj));
     }
   }
 
@@ -289,92 +238,56 @@ class PWorker {
     }
   }
 
-  /// Threaded main loop: expand own work, steal when dry, exit when the
-  /// tree is exhausted or a stop condition latched.
-  void runThreaded() {
+  /// The pool's work loop on this worker's thread: expand own nodes, steal
+  /// when dry, exit when the tree is exhausted or a stop condition latched.
+  void runLoop() {
     if (trace_ != nullptr) {
       char label[32];
       std::snprintf(label, sizeof(label), "milp-worker-%d", id_);
       trace_->nameThread(label);
     }
-    PNode node;
-    while (true) {
-      if (shared_.checkGlobalStop()) break;
-      shared_.pollExternal();
-      if (deque().popBack(node)) {
-        processNode(std::move(node));
-        continue;
-      }
-      if (trySteal()) continue;
-      if (shared_.outstanding.load(std::memory_order_acquire) == 0) break;
-      const Stopwatch idle;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      stats_.idle_seconds += idle.seconds();
-    }
+    shared_.pool.work(id_, *this);
     flushBatch();  // close the trailing batch on the worker's own lane
   }
 
-  /// Deterministic quantum: one node expansion, preceded by one steal pass
-  /// if the own deque is dry. Returns whether any node was expanded.
-  bool step() {
-    PNode node;
-    if (!deque().popBack(node)) {
-      if (!trySteal() || !deque().popBack(node)) return false;
-    }
-    processNode(std::move(node));
-    return true;
+  [[nodiscard]] MipWorkerStats stats() const {
+    MipWorkerStats s = stats_;
+    s.lp_solves = lp_work_.lp_solves;
+    s.lp_warm_hits = lp_work_.lp_warm_hits;
+    return s;
   }
+  /// This worker's LP effort (the lp_* counters only).
+  [[nodiscard]] const MipResult& lpWork() const { return lp_work_; }
 
-  [[nodiscard]] const MipWorkerStats& stats() const { return stats_; }
+  /// Closes the trailing node-batch span; the driver loop calls it after
+  /// workers quiesce (covers the deterministic mode, which has no
+  /// per-worker thread exit to hook).
+  void finishTrace() { flushBatch(); }
 
-  // Per-worker LP telemetry, aggregated into MipResult by the driver loop.
-  long lp_iterations = 0;
-  long lp_refactorizations = 0;
-  long lp_primal_pivots = 0;
-  long lp_dual_pivots = 0;
-  long lp_bound_flips = 0;
-  long lp_ft_updates = 0;
-  long lp_dual_reopts = 0;
-  long lp_ftran_sparse = 0;
-  long lp_ftran_dense = 0;
-  long lp_btran_sparse = 0;
-  long lp_btran_dense = 0;
-  long lp_dse_updates = 0;
-
- private:
-  NodeDeque& deque() { return *shared_.deques[static_cast<std::size_t>(id_)]; }
-
-  /// Scans victims in a fixed ring order from this worker's successor and
-  /// moves half of the first non-empty deque into its own. The fixed order
-  /// makes the steal schedule a pure function of tree shape in
-  /// deterministic mode.
-  bool trySteal() {
-    const int W = static_cast<int>(shared_.deques.size());
-    for (int k = 1; k < W; ++k) {
-      const int victim = (id_ + k) % W;
-      std::vector<PNode> loot;
-      const int got = shared_.deques[static_cast<std::size_t>(victim)]->stealHalf(loot);
-      if (got == 0) continue;
-      ++stats_.steals;
-      stats_.stolen_nodes += got;
-      if (trace_ != nullptr) trace_->instant("steal", "steal", "nodes", static_cast<double>(got));
-      if (steals_ctr_ != nullptr) steals_ctr_->increment();
-      if (shared_.deterministic) {
-        shared_.replay.mix(0x57ea1ull);  // steal event marker
-        shared_.replay.mix(static_cast<std::uint64_t>(id_));
-        shared_.replay.mix(static_cast<std::uint64_t>(victim));
-        shared_.replay.mix(static_cast<std::uint64_t>(got));
-      }
-      // Re-push in steal order: the deque back then holds the deepest of
-      // the stolen prefix, so the thief keeps diving depth-first.
-      for (PNode& n : loot) deque().pushBack(std::move(n));
-      return true;
-    }
+  // ---- StealPool worker hooks ------------------------------------------------
+  bool halted() {
+    if (shared_.checkGlobalStop()) return true;
+    shared_.pollExternal();
     return false;
   }
+  void run(PNode&& node) { processNode(std::move(node)); }
+  /// The fixed victim order makes the steal schedule a pure function of
+  /// tree shape in deterministic mode.
+  void stole(int victim, int count) {
+    ++stats_.steals;
+    stats_.stolen_nodes += count;
+    if (trace_ != nullptr) trace_->instant("steal", "steal", "nodes", static_cast<double>(count));
+    if (steals_ctr_ != nullptr) steals_ctr_->increment();
+    if (shared_.deterministic) {
+      shared_.replay.mix(0x57ea1ull);  // steal event marker
+      shared_.replay.mix(static_cast<std::uint64_t>(id_));
+      shared_.replay.mix(static_cast<std::uint64_t>(victim));
+      shared_.replay.mix(static_cast<std::uint64_t>(count));
+    }
+  }
+  void idled(double seconds) { stats_.idle_seconds += seconds; }
 
-  void finishNode() { shared_.outstanding.fetch_sub(1, std::memory_order_acq_rel); }
-
+ private:
   void materializeBounds(const PNode& node, std::vector<double>& lb,
                          std::vector<double>& ub) const {
     lb = shared_.base_lb;
@@ -390,14 +303,12 @@ class PWorker {
     }
   }
 
-  /// Solves one node LP and prunes or branches — the parallel counterpart
-  /// of the sequential engine's processNode, with children pushed onto the
-  /// own deque instead of a plunge recursion.
+  /// Solves one node LP and prunes or branches, pushing the children onto
+  /// the own deque.
   void processNode(PNode node) {
-    if (shared_.prunedByCutoff(node.lp_bound)) {
-      finishNode();
-      return;
-    }
+    // Pruning before the solve also releases the node's basis snapshot: at
+    // paper scale each holds hundreds of KB.
+    if (shared_.prunedByCutoff(node.lp_bound)) return;
     ++stats_.nodes;
     shared_.total_nodes.fetch_add(1, std::memory_order_relaxed);
     if (nodes_ctr_ != nullptr) nodes_ctr_->increment();
@@ -439,16 +350,9 @@ class PWorker {
         rel = *std::move(dual);
         solved = true;
       } else {
-        lp_iterations += declined.iterations;
-        lp_dual_pivots += declined.dual_pivots;
-        lp_bound_flips += declined.bound_flips;
-        lp_ft_updates += declined.ft_updates;
-        lp_refactorizations += declined.refactorizations;
-        lp_ftran_sparse += declined.ftran_sparse;
-        lp_ftran_dense += declined.ftran_dense;
-        lp_btran_sparse += declined.btran_sparse;
-        lp_btran_dense += declined.btran_dense;
-        lp_dse_updates += declined.dse_updates;
+        // A dual attempt that gave up still burned pivots and possibly a
+        // refactorization: count its effort, not a solve.
+        addLpWork(lp_work_, declined, /*solved=*/false);
       }
     }
     if (!solved) {
@@ -459,57 +363,41 @@ class PWorker {
                                      shared_.csc.get());
     }
     node.start_basis.reset();
-    lp_iterations += rel.iterations;
-    lp_refactorizations += rel.refactorizations;
-    stats_.lp_warm_hits += rel.warm_started ? 1 : 0;
-    lp_primal_pivots += rel.primal_pivots;
-    lp_dual_pivots += rel.dual_pivots;
-    lp_bound_flips += rel.bound_flips;
-    lp_ft_updates += rel.ft_updates;
-    lp_dual_reopts += rel.dual_reopt ? 1 : 0;
-    lp_ftran_sparse += rel.ftran_sparse;
-    lp_ftran_dense += rel.ftran_dense;
-    lp_btran_sparse += rel.btran_sparse;
-    lp_btran_dense += rel.btran_dense;
-    lp_dse_updates += rel.dse_updates;
-    ++stats_.lp_solves;
+    addLpWork(lp_work_, rel);
     if (lp_solves_ctr_ != nullptr) {
       lp_solves_ctr_->increment();
       lp_iter_ctr_->add(rel.iterations);
       node_iter_hist_->record(static_cast<double>(rel.iterations));
     }
-    if (telemetry::sampleHit(shared_.opt.telemetry, static_cast<std::uint64_t>(stats_.lp_solves)))
+    // Warm nodes either rode the dual fast path or fell back to the primal
+    // engine; sample the distinction into the trace (every LP when the
+    // sampling knob is 1). Refactorizations are rare enough to always emit.
+    if (telemetry::sampleHit(shared_.opt.telemetry, static_cast<std::uint64_t>(lp_work_.lp_solves)))
       trace_->instant("lp", rel.dual_reopt ? "dual_reopt" : "primal_fallback", "iterations",
                       static_cast<double>(rel.iterations));
     if (rel.refactorizations > 0)
       telemetry::instant(shared_.opt.telemetry, "lp", "refactorize", "count",
                          static_cast<double>(rel.refactorizations));
 
-    if (rel.status == lp::LpStatus::kInfeasible) {
-      finishNode();
-      return;
-    }
+    if (rel.status == lp::LpStatus::kInfeasible) return;
     if (rel.status == lp::LpStatus::kUnbounded) {
       if (node.depth == 0) {
         shared_.root_unbounded.store(true, std::memory_order_relaxed);
         shared_.halt.store(true, std::memory_order_relaxed);
       }
-      finishNode();
       return;
     }
     if (rel.status != lp::LpStatus::kOptimal) {
-      // Limit hit mid-solve: the subtree is dropped unexplored, so the
-      // final answer is a truncation, never a proof.
+      // Limit hit (or the sparse engine refused to certify its point): the
+      // subtree is dropped unexplored, so the final answer is a truncation,
+      // never a proof — without this a discarded subtree could hide the
+      // true optimum behind a kOptimal/kInfeasible claim.
       shared_.dropped.store(true, std::memory_order_relaxed);
-      finishNode();
       return;
     }
 
     const double bound = shared_.signedObj(rel.objective);
-    if (shared_.prunedByCutoff(bound)) {
-      finishNode();
-      return;
-    }
+    if (shared_.prunedByCutoff(bound)) return;
 
     // Pseudo-costs are worker-local: no cross-worker synchronization, at
     // the cost of each worker learning branching scores from its own
@@ -524,8 +412,7 @@ class PWorker {
       std::vector<double> x = std::move(rel.x);
       roundIntegers(shared_.model, x);
       if (shared_.offerIncumbent(std::move(x), bound, false) && shared_.opt.log_progress)
-        RFP_LOG_INFO("milp[par]: incumbent " << shared_.userObj(bound) << " from worker " << id_);
-      finishNode();
+        RFP_LOG_INFO("milp: incumbent " << shared_.userObj(bound) << " from worker " << id_);
       return;
     }
 
@@ -540,25 +427,24 @@ class PWorker {
     PNode down{std::move(down_path), bound, node.depth + 1, frac_part, rel.basis};
     PNode up{std::move(up_path), bound, node.depth + 1, frac_part, rel.basis};
 
-    // Push the away-side child first: the next popBack takes the child
-    // closer to the LP value — the sequential engine's plunge rule — and
-    // leaves the other at a stealable (shallower) position.
+    // Push the away-side child first: the next popBack plunges into the
+    // child closer to the LP value and leaves the other at a stealable
+    // (shallower) position.
     const bool go_down = frac_part <= 0.5;
-    shared_.outstanding.fetch_add(2, std::memory_order_acq_rel);
-    deque().pushBack(go_down ? std::move(up) : std::move(down));
-    deque().pushBack(go_down ? std::move(down) : std::move(up));
-    finishNode();
+    shared_.pool.spawn(id_, go_down ? std::move(up) : std::move(down));
+    shared_.pool.spawn(id_, go_down ? std::move(down) : std::move(up));
   }
 
-  /// Rounds the fractional LP point and offers it if feasible — same cheap
-  /// heuristic as the sequential engine, now feeding the shared incumbent.
+  /// Rounds the fractional LP point and offers it if it is feasible — cheap
+  /// and surprisingly effective on big-M floorplanning models, where most
+  /// binaries are already integral.
   void tryRounding(const std::vector<double>& x) {
     std::vector<double> cand = x;
     roundIntegers(shared_.model, cand);
     if (!shared_.model.isFeasible(cand, shared_.opt.int_tol)) return;
     const double obj = shared_.signedObj(shared_.model.evalObjective(cand));
     if (shared_.offerIncumbent(std::move(cand), obj, false) && shared_.opt.log_progress)
-      RFP_LOG_INFO("milp[par]: rounding incumbent " << shared_.userObj(obj));
+      RFP_LOG_INFO("milp: rounding incumbent " << shared_.userObj(obj));
   }
 
   void flushBatch() {
@@ -576,16 +462,10 @@ class PWorker {
     batch_nodes_ = 0;
   }
 
- public:
-  /// Closes the trailing node-batch span; the driver loop calls it after
-  /// workers quiesce (covers the deterministic mode, which has no
-  /// per-worker thread exit to hook).
-  void finishTrace() { flushBatch(); }
-
- private:
   const int id_;
   SharedTree& shared_;
   MipWorkerStats stats_;
+  MipResult lp_work_;  ///< lp_* counters of this worker's solves
   std::vector<PseudoCost> pseudo_costs_;
   /// Private warm-reopt state (live factors + give-up breaker); see the
   /// concurrency contract in dual_simplex.hpp.
@@ -603,18 +483,21 @@ class PWorker {
 
 }  // namespace
 
-MipResult runParallelSearch(TreeRoot root, const MilpSolver::Options& opt,
-                            std::optional<std::vector<double>> warm_start) {
+MipResult runTreeSearch(TreeRoot root, const MilpSolver::Options& opt,
+                        std::optional<std::vector<double>> warm_start) {
   const Stopwatch watch;
-  const int W = std::max(2, opt.threads);
+  const int W = std::max(1, opt.threads);
   const lp::Model& model = *root.model;
-  SharedTree shared(model, opt);
+  SharedTree shared(model, opt, W);
   shared.minimize = model.objSense() == lp::ObjSense::kMinimize;
   shared.deterministic = opt.deterministic;
   shared.base_lb = std::move(root.lb);
   shared.base_ub = std::move(root.ub);
   shared.engine = lp::LpSolver(opt.lp).resolveEngine(model);
-  if (shared.engine == lp::LpEngine::kSparse)
+  // One CSC build per tree: every node solve differs only in bounds. The
+  // root LPs' matrix is reused when they ran on this same model; a tree
+  // that starts cancelled solves no node and builds nothing.
+  if (shared.engine == lp::LpEngine::kSparse && !shared.externallyStopped())
     shared.csc = root.csc ? std::move(root.csc)
                           : std::make_shared<const lp::sparse::CscMatrix>(
                                 lp::sparse::CscMatrix::fromModel(model));
@@ -632,37 +515,35 @@ MipResult runParallelSearch(TreeRoot root, const MilpSolver::Options& opt,
     shared.incumbent_external.store(false, std::memory_order_relaxed);
   }
 
-  shared.deques.reserve(static_cast<std::size_t>(W));
   std::vector<std::unique_ptr<PWorker>> workers;
   workers.reserve(static_cast<std::size_t>(W));
-  for (int i = 0; i < W; ++i) shared.deques.push_back(std::make_unique<NodeDeque>());
   for (int i = 0; i < W; ++i) workers.push_back(std::make_unique<PWorker>(i, shared));
 
-  shared.outstanding.store(1, std::memory_order_relaxed);
-  PNode root_node;  // root
+  PNode root_node;
   root_node.start_basis = std::move(root.basis);
-  shared.deques[0]->pushBack(std::move(root_node));
+  shared.pool.spawn(0, std::move(root_node));
 
   if (opt.deterministic) {
     // Lock-step round-robin: one node quantum per worker per round, on this
     // thread. No OS scheduling enters the node order, so two runs expand
     // identical trees and record identical steal schedules.
-    while (shared.outstanding.load(std::memory_order_acquire) > 0) {
+    while (!shared.pool.exhausted()) {
       if (shared.checkGlobalStop()) break;
       shared.pollExternal();
       for (int i = 0; i < W && !shared.halt.load(std::memory_order_relaxed); ++i)
-        workers[static_cast<std::size_t>(i)]->step();
+        shared.pool.step(i, *workers[static_cast<std::size_t>(i)]);
     }
     res.replay_hash = shared.replay.h;
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(W));
-    for (int i = 0; i < W; ++i)
-      pool.emplace_back([&workers, i] { workers[static_cast<std::size_t>(i)]->runThreaded(); });
-    for (std::thread& t : pool) t.join();
+    shared.pool.run([&workers](int i) { workers[static_cast<std::size_t>(i)]->runLoop(); });
   }
 
-  // ---- final status assembly (mirrors the sequential engine) ----
+  // ---- final status assembly ----
+  // A run that ends with the external stop flag set never claims a proof,
+  // even when every node happened to be processed before the flag was
+  // observed: the flag means another engine settled the problem, and a
+  // cancelled run racing it must not hand arbitration a second "proof"
+  // whose final LPs may have been cut short mid-pivot.
   const bool truncated = shared.truncated.load(std::memory_order_relaxed) ||
                          shared.dropped.load(std::memory_order_relaxed) ||
                          shared.externallyStopped();
@@ -672,20 +553,7 @@ MipResult runParallelSearch(TreeRoot root, const MilpSolver::Options& opt,
     w->finishTrace();
     res.workers.push_back(w->stats());
     res.steals += w->stats().steals;
-    res.lp_solves += w->stats().lp_solves;
-    res.lp_warm_hits += w->stats().lp_warm_hits;
-    res.lp_iterations += w->lp_iterations;
-    res.lp_refactorizations += w->lp_refactorizations;
-    res.lp_primal_pivots += w->lp_primal_pivots;
-    res.lp_dual_pivots += w->lp_dual_pivots;
-    res.lp_bound_flips += w->lp_bound_flips;
-    res.lp_ft_updates += w->lp_ft_updates;
-    res.lp_dual_reopts += w->lp_dual_reopts;
-    res.lp_ftran_sparse += w->lp_ftran_sparse;
-    res.lp_ftran_dense += w->lp_ftran_dense;
-    res.lp_btran_sparse += w->lp_btran_sparse;
-    res.lp_btran_dense += w->lp_btran_dense;
-    res.lp_dse_updates += w->lp_dse_updates;
+    addLpWork(res, w->lpWork());
   }
   res.external_adoptions = shared.external_adoptions.load(std::memory_order_relaxed);
   res.cutoff_prunes = shared.cutoff_prunes.load(std::memory_order_relaxed);
@@ -715,10 +583,11 @@ MipResult runParallelSearch(TreeRoot root, const MilpSolver::Options& opt,
     } else {
       // Weakest unexplored node across all leftover deques (halted workers
       // leave their unprocessed nodes in place); a fully drained tree that
-      // was still cancelled keeps the incumbent objective, as sequential.
+      // was still cancelled keeps the incumbent objective.
       bound = lp::kInfinity;
-      for (const std::unique_ptr<NodeDeque>& d : shared.deques)
-        bound = std::min(bound, d->minBound());
+      for (int i = 0; i < W; ++i)
+        shared.pool.deque(i).forEach(
+            [&bound](const PNode& n) { bound = std::min(bound, n.lp_bound); });
       if (bound == lp::kInfinity) bound = has_inc ? inc_obj : -lp::kInfinity;
     }
   } else {

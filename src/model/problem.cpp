@@ -1,5 +1,6 @@
 #include "model/problem.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -41,6 +42,14 @@ long FloorplanProblem::minFrames(int n) const {
   return frames;
 }
 
+namespace {
+
+/// Net and relocation weights scale cost terms whose lower bounds assume a
+/// non-negative weight; NaN or infinity would make every cost meaningless.
+bool validWeight(double w) { return std::isfinite(w) && w >= 0.0; }
+
+}  // namespace
+
 std::string FloorplanProblem::validateStructure() const {
   for (int n = 0; n < numRegions(); ++n) {
     const RegionSpec& spec = region(n);
@@ -53,8 +62,22 @@ std::string FloorplanProblem::validateStructure() const {
     }
     if (total == 0) return "region '" + spec.name + "' requires no tiles";
   }
-  for (const RelocationRequest& r : relocations_)
+  for (const Net& net : nets_)
+    if (!validWeight(net.weight)) {
+      std::ostringstream os;
+      os << "net '" << net.name << "' has weight " << net.weight
+         << " (must be finite and >= 0)";
+      return os.str();
+    }
+  for (const RelocationRequest& r : relocations_) {
     if (r.region < 0 || r.region >= numRegions()) return "relocation request region out of range";
+    if (!validWeight(r.weight)) {
+      std::ostringstream os;
+      os << "relocation request for region '" << region(r.region).name << "' has weight "
+         << r.weight << " (must be finite and >= 0)";
+      return os.str();
+    }
+  }
   return "";
 }
 

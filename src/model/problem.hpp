@@ -86,7 +86,8 @@ class FloorplanProblem {
   [[nodiscard]] long minFrames(int n) const;
 
   /// Structural validation only: region indices in range, non-negative and
-  /// non-empty requirements, nets well-formed. Returns "" or a violation
+  /// non-empty requirements, nets well-formed, net and relocation weights
+  /// finite and non-negative. Returns "" or a violation
   /// description. A structurally valid problem may still be infeasible.
   [[nodiscard]] std::string validateStructure() const;
 

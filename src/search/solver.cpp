@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "driver/incumbent.hpp"
@@ -16,6 +13,7 @@
 #include "search/occupancy.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
+#include "support/steal_pool.hpp"
 #include "support/sync.hpp"
 #include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
@@ -108,50 +106,8 @@ struct Task {
   std::vector<std::pair<int, int>> prefix;
 };
 
-/// Finely-locked work deque. The owner pushes and pops at the back (keeping
-/// its depth-first traversal order); thieves take half from the front — the
-/// earliest-deferred, shallowest prefixes, which root the largest subtrees.
-class TaskDeque {
- public:
-  void pushBack(Task t) {
-    const sync::MutexLock lock(mu_);
-    q_.push_back(std::move(t));
-  }
-
-  bool popBack(Task& out) {
-    const sync::MutexLock lock(mu_);
-    if (q_.empty()) return false;
-    out = std::move(q_.back());
-    q_.pop_back();
-    return true;
-  }
-
-  /// Steal-half policy: moves the front ceil(size/2) tasks into `out`.
-  int stealHalf(std::vector<Task>& out) {
-    const sync::MutexLock lock(mu_);
-    const int take = static_cast<int>((q_.size() + 1) / 2);
-    for (int i = 0; i < take; ++i) {
-      out.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
-    return take;
-  }
-
- private:
-  sync::Mutex mu_;
-  std::deque<Task> q_ RFP_GUARDED_BY(mu_);
-};
-
-/// Work-stealing scheduler state shared by all workers of one solve.
-struct Scheduler {
-  std::vector<std::unique_ptr<TaskDeque>> deques;  ///< one per worker
-  /// Tasks in deques plus tasks being executed; zero = tree exhausted.
-  std::atomic<long> outstanding{0};
-  /// Workers currently sleeping on an empty deque — the adaptive-splitting
-  /// signal: busy workers only pay the task-packaging overhead while a peer
-  /// is actually starving.
-  std::atomic<int> idle{0};
-};
+/// The solve's work-stealing scheduler (support/steal_pool.hpp).
+using TaskPool = sync::StealPool<Task>;
 
 /// Lexicographic key: wasted frames in the high 32 bits, wire length scaled
 /// ×64 in the low 32. Monotone in (waste, WL) ordering.
@@ -241,12 +197,12 @@ double wireLengthLowerBound(const model::FloorplanProblem& problem,
 
 class Worker {
  public:
-  Worker(int id, const Instance& inst, Shared& shared, Scheduler& sched,
+  Worker(int id, const Instance& inst, Shared& shared, TaskPool& pool,
          const Deadline& deadline)
       : id_(id),
         inst_(inst),
         shared_(shared),
-        sched_(sched),
+        pool_(pool),
         deadline_(deadline),
         occ_(inst.prob().dev().width(), inst.prob().dev().height()),
         rects_(static_cast<std::size_t>(inst.prob().numRegions())),
@@ -265,10 +221,8 @@ class Worker {
     }
   }
 
-  /// Main loop: drain the own deque, steal when dry, exit when every task
-  /// is done or the solve stopped. Deques can all be momentarily empty
-  /// while a peer still expands a task that will spawn more, so "no loot"
-  /// alone is not termination — the outstanding count is.
+  /// Main loop: the pool's work loop (drain the own deque, steal when dry,
+  /// exit when every task is done or the solve stopped).
   void runLoop() {
     if (trace_ != nullptr) {
       char label[32];
@@ -276,49 +230,26 @@ class Worker {
       trace_->nameThread(label);
       batch_start_us_ = trace_->nowUs();
     }
-    Task task;
-    while (true) {
-      if (shared_.stop.load(std::memory_order_relaxed)) break;
-      if (deque().popBack(task)) {
-        ++stats_.tasks;
-        runTask(task);
-        sched_.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-        continue;
-      }
-      if (trySteal()) continue;
-      if (sched_.outstanding.load(std::memory_order_acquire) == 0) break;
-      sched_.idle.fetch_add(1, std::memory_order_relaxed);
-      const Stopwatch idle;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      stats_.idle_seconds += idle.seconds();
-      sched_.idle.fetch_sub(1, std::memory_order_relaxed);
-    }
+    pool_.work(id_, *this);
   }
 
   [[nodiscard]] const SearchWorkerStats& stats() const { return stats_; }
 
- private:
-  TaskDeque& deque() { return *sched_.deques[static_cast<std::size_t>(id_)]; }
-
-  /// Scans victims in a fixed ring order from this worker's successor and
-  /// moves half of the first non-empty deque into its own.
-  bool trySteal() {
-    const int W = static_cast<int>(sched_.deques.size());
-    for (int k = 1; k < W; ++k) {
-      const int victim = (id_ + k) % W;
-      std::vector<Task> loot;
-      if (sched_.deques[static_cast<std::size_t>(victim)]->stealHalf(loot) == 0) continue;
-      ++stats_.steals;
-      stats_.stolen_tasks += static_cast<long>(loot.size());
-      if (trace_ != nullptr)
-        trace_->instant("steal", "steal", "tasks", static_cast<double>(loot.size()));
-      if (steals_ctr_ != nullptr) steals_ctr_->increment();
-      for (Task& t : loot) deque().pushBack(std::move(t));
-      return true;
-    }
-    return false;
+  // ---- StealPool worker hooks ------------------------------------------------
+  [[nodiscard]] bool halted() const { return shared_.stop.load(std::memory_order_relaxed); }
+  void run(Task&& task) {
+    ++stats_.tasks;
+    runTask(task);
   }
+  void stole(int /*victim*/, int count) {
+    ++stats_.steals;
+    stats_.stolen_tasks += count;
+    if (trace_ != nullptr) trace_->instant("steal", "steal", "tasks", static_cast<double>(count));
+    if (steals_ctr_ != nullptr) steals_ctr_->increment();
+  }
+  void idled(double seconds) { stats_.idle_seconds += seconds; }
 
+ private:
   /// Replays the task's fixed prefix and explores the remaining subtree.
   /// Worker state is fully unwound afterwards, so tasks run back-to-back on
   /// one clean worker.
@@ -455,7 +386,7 @@ class Worker {
   /// peer is actually starving, and only at shallow depths where the prefix
   /// replay cost is negligible against the subtree it buys.
   [[nodiscard]] bool maySplit(int depth) const {
-    return sched_.idle.load(std::memory_order_relaxed) > 0 &&
+    return pool_.idle() > 0 &&
            depth < inst_.prob().numRegions() - 1 && depth <= 6;
   }
 
@@ -463,8 +394,7 @@ class Worker {
     Task t;
     t.prefix = prefix_;
     t.prefix.emplace_back(static_cast<int>(shape_index), y);
-    sched_.outstanding.fetch_add(1, std::memory_order_acq_rel);
-    deque().pushBack(std::move(t));
+    pool_.spawn(id_, std::move(t));
     ++stats_.splits;
   }
 
@@ -699,7 +629,7 @@ class Worker {
   const int id_;
   const Instance& inst_;
   Shared& shared_;
-  Scheduler& sched_;
+  TaskPool& pool_;
   const Deadline& deadline_;
   SearchWorkerStats stats_;
   /// (shape_index, y) of the current path's placements — the prefix a
@@ -874,30 +804,18 @@ SearchResult ColumnarSearchSolver::solve(const model::FloorplanProblem& problem)
   }
 
   const int threads = std::max(1, options_.num_threads);
-  Scheduler sched;
-  sched.deques.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) sched.deques.push_back(std::make_unique<TaskDeque>());
+  TaskPool pool(threads);
   // Deal root tasks round-robin, back-to-front: each worker's popBack then
   // walks its share in the original waste-sorted order (a single worker
   // reproduces the sequential traversal exactly).
-  sched.outstanding.store(static_cast<long>(roots.size()), std::memory_order_relaxed);
   for (std::size_t i = roots.size(); i-- > 0;)
-    sched.deques[i % static_cast<std::size_t>(threads)]->pushBack(std::move(roots[i]));
+    pool.spawn(static_cast<int>(i % static_cast<std::size_t>(threads)), std::move(roots[i]));
 
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t)
-    workers.push_back(std::make_unique<Worker>(t, inst, shared, sched, deadline));
-
-  if (threads == 1) {
-    workers[0]->runLoop();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-      pool.emplace_back([&workers, t] { workers[static_cast<std::size_t>(t)]->runLoop(); });
-    for (std::thread& t : pool) t.join();
-  }
+    workers.push_back(std::make_unique<Worker>(t, inst, shared, pool, deadline));
+  pool.run([&workers](int t) { workers[static_cast<std::size_t>(t)]->runLoop(); });
   for (const std::unique_ptr<Worker>& w : workers) {
     w->finish();
     result.workers.push_back(w->stats());

@@ -102,7 +102,8 @@ TEST(Milp, NodeLimitReportsTruncation) {
   const MipResult r = MilpSolver(opt).solve(m);
   EXPECT_TRUE(r.status == MipStatus::kFeasible || r.status == MipStatus::kNoSolution ||
               r.status == MipStatus::kOptimal);
-  EXPECT_LE(r.nodes, 2 + opt.plunge_depth);
+  // One worker checks the limit before every node.
+  EXPECT_LE(r.nodes, opt.node_limit);
 }
 
 TEST(Milp, SolveLeavesTheCallersModelUnchanged) {
@@ -169,6 +170,9 @@ std::optional<double> bruteForceBest(const Model& m) {
 }
 
 TEST(MilpProperty, MatchesBruteForceOnRandomBinaryPrograms) {
+  // Thread count may change which optimal point is returned, never the
+  // status or the objective: the brute-force oracle decides both at every
+  // worker count.
   Rng rng(99);
   for (int trial = 0; trial < 80; ++trial) {
     const int n = 3 + static_cast<int>(rng.nextBelow(8));  // up to 10 binaries
@@ -192,18 +196,22 @@ TEST(MilpProperty, MatchesBruteForceOnRandomBinaryPrograms) {
     m.setObjective(obj, sense);
 
     const std::optional<double> expected = bruteForceBest(m);
-    const MipResult r = MilpSolver().solve(m);
-    if (!expected) {
-      EXPECT_EQ(r.status, MipStatus::kInfeasible) << "trial " << trial;
-    } else {
-      ASSERT_EQ(r.status, MipStatus::kOptimal) << "trial " << trial;
-      EXPECT_NEAR(r.objective, *expected, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.isFeasible(r.x, 1e-6)) << "trial " << trial;
+    for (const int threads : {1, 2, 8}) {
+      MilpSolver::Options opt;
+      opt.threads = threads;
+      const MipResult r = MilpSolver(opt).solve(m);
+      if (!expected) {
+        EXPECT_EQ(r.status, MipStatus::kInfeasible) << "trial " << trial << " threads " << threads;
+      } else {
+        ASSERT_EQ(r.status, MipStatus::kOptimal) << "trial " << trial << " threads " << threads;
+        EXPECT_NEAR(r.objective, *expected, 1e-6) << "trial " << trial << " threads " << threads;
+        EXPECT_TRUE(m.isFeasible(r.x, 1e-6)) << "trial " << trial << " threads " << threads;
+      }
     }
   }
 }
 
-// ---- work-stealing parallel engine ----------------------------------------
+// ---- work-stealing workers --------------------------------------------------
 
 Model randomBinaryProgram(Rng& rng) {
   const int n = 6 + static_cast<int>(rng.nextBelow(9));  // up to 14 binaries
@@ -225,25 +233,6 @@ Model randomBinaryProgram(Rng& rng) {
     obj += static_cast<double>(rng.nextInt(-10, 10)) * vars[static_cast<std::size_t>(j)];
   m.setObjective(obj, rng.nextBool() ? ObjSense::kMaximize : ObjSense::kMinimize);
   return m;
-}
-
-TEST(MilpParallel, MatchesSequentialStatusAndObjective) {
-  // The core parallel contract: thread count may change which optimal point
-  // is returned, never the final status or objective.
-  Rng rng(1234);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Model m = randomBinaryProgram(rng);
-    MilpSolver::Options seq;
-    MilpSolver::Options par;
-    par.threads = 8;
-    const MipResult a = MilpSolver(seq).solve(m);
-    const MipResult b = MilpSolver(par).solve(m);
-    ASSERT_EQ(a.status, b.status) << "trial " << trial;
-    if (a.hasSolution()) {
-      EXPECT_NEAR(a.objective, b.objective, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.isFeasible(b.x, 1e-6)) << "trial " << trial;
-    }
-  }
 }
 
 TEST(MilpParallel, WorkerTelemetryAggregates) {

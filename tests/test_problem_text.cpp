@@ -1,8 +1,11 @@
 // Problem text format: parsing, round-trips, and line-numbered diagnostics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "device/builders.hpp"
 #include "io/problem_text.hpp"
+#include "search/solver.hpp"
 #include "support/check.hpp"
 
 namespace rfp::io {
@@ -126,8 +129,36 @@ INSTANTIATE_TEST_SUITE_P(
                  "count"},
         BadInput{"bad_objective", "region a CLB=2\nobjective fastest\n", "objective"},
         BadInput{"net_single_pin", "region a CLB=2\nnet 1 a\n", "net"},
-        BadInput{"empty_region", "region a\n", "region"}),
+        BadInput{"empty_region", "region a\n", "region"},
+        BadInput{"nan_net_weight", "region a CLB=2\nregion b CLB=2\nnet nan a b\n",
+                 "line 3: net weight 'nan'"},
+        BadInput{"negative_net_weight", "region a CLB=2\nregion b CLB=2\nnet -5 a b\n",
+                 "line 3: net weight '-5'"},
+        BadInput{"infinite_net_weight", "region a CLB=2\nregion b CLB=2\nnet inf a b\n",
+                 "line 3: net weight 'inf'"},
+        BadInput{"region_in_weight_slot", "region a CLB=2\nregion b CLB=2\nnet a a b\n",
+                 "line 3: net weight 'a'"},
+        BadInput{"negative_relocation_weight",
+                 "region a CLB=2\nrelocate a count=1 soft weight=-1\n",
+                 "line 2: relocation weight '-1'"}),
     [](const ::testing::TestParamInfo<BadInput>& info) { return info.param.name; });
+
+TEST(ProblemText, ValidationRejectsBadWeightsFromAnySource) {
+  // Problems built in code skip the parser; the search's wire-length bound
+  // assumes weights >= 0, so validation itself must refuse NaN, infinity
+  // and negatives, and the search must not turn them into a "proof".
+  const device::Device dev = device::virtex5FX70T();
+  for (const double w : {std::nan(""), -5.0, HUGE_VAL}) {
+    model::FloorplanProblem net_weight = parseProblem("region a CLB=2\nregion b CLB=2\n", dev);
+    net_weight.addNet(model::Net{{0, 1}, w, "n"});
+    EXPECT_NE(net_weight.validateStructure().find("net 'n' has weight"), std::string::npos) << w;
+    EXPECT_THROW((void)search::ColumnarSearchSolver().solve(net_weight), rfp::CheckError) << w;
+
+    model::FloorplanProblem reloc_weight = parseProblem("region a CLB=2\n", dev);
+    reloc_weight.addRelocation(model::RelocationRequest{0, 1, /*hard=*/false, w});
+    EXPECT_NE(reloc_weight.validateStructure().find("has weight"), std::string::npos) << w;
+  }
+}
 
 TEST(ProblemText, CommentsAndBlankLinesAreIgnored)
 {

@@ -7,9 +7,12 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/steal_pool.hpp"
 #include "support/strings.hpp"
 #include "support/sync.hpp"
 #include "support/timer.hpp"
@@ -229,6 +232,143 @@ TEST(Sync, CondVarWaitForTimesOutWhenPredicateStaysFalse) {
       cv.wait_for(lock, std::chrono::milliseconds(5), [] { return false; });
   EXPECT_FALSE(satisfied);
   EXPECT_TRUE(lock.owns_lock());  // the wait must reacquire before returning
+}
+
+// ---- work-stealing pool (support/steal_pool.hpp) ----------------------------
+
+/// StealPool worker over integer tasks. Task t spawns 2t+1 and 2t+2 while
+/// they stay below `limit` (0: never stop spawning), so a pool seeded with
+/// task 0 walks a binary tree. It records what it ran, what it stole and on
+/// which threads it ran. It halts once `stop` is set, and sets `stop` itself
+/// once `ran` reaches `stop_after` (0: never).
+struct TreeWorker {
+  sync::StealPool<int>* pool = nullptr;
+  int id = 0;
+  int limit = 0;
+  std::vector<std::atomic<int>>* runs = nullptr;
+  std::atomic<long>* ran = nullptr;
+  std::atomic<bool>* stop = nullptr;
+  long stop_after = 0;
+  std::vector<int> order;
+  std::vector<std::pair<int, int>> steals;  // (victim, count)
+  std::set<std::thread::id> threads;
+
+  bool halted() const {
+    if (stop_after > 0 && ran->load() >= stop_after) stop->store(true);
+    return stop != nullptr && stop->load();
+  }
+  void run(int&& t) {
+    order.push_back(t);
+    threads.insert(std::this_thread::get_id());
+    if (runs != nullptr) (*runs)[static_cast<std::size_t>(t)].fetch_add(1);
+    if (ran != nullptr) ran->fetch_add(1);
+    for (const int child : {2 * t + 1, 2 * t + 2})
+      if (limit == 0 || child < limit) pool->spawn(id, limit == 0 ? 0 : child);
+  }
+  void stole(int victim, int count) { steals.emplace_back(victim, count); }
+  void idled(double /*seconds*/) {}
+};
+
+std::vector<TreeWorker> treeWorkers(sync::StealPool<int>& pool, int limit) {
+  std::vector<TreeWorker> workers(static_cast<std::size_t>(pool.size()));
+  for (int w = 0; w < pool.size(); ++w) {
+    workers[static_cast<std::size_t>(w)].pool = &pool;
+    workers[static_cast<std::size_t>(w)].id = w;
+    workers[static_cast<std::size_t>(w)].limit = limit;
+  }
+  return workers;
+}
+
+std::vector<int> queued(const sync::StealDeque<int>& d) {
+  std::vector<int> out;
+  d.forEach([&out](int t) { out.push_back(t); });
+  return out;
+}
+
+TEST(StealPool, StealHalfMovesTheOldestHalfInOrder) {
+  sync::StealDeque<int> d;
+  for (int t = 1; t <= 5; ++t) d.pushBack(t);
+  std::vector<int> loot;
+  EXPECT_EQ(d.stealHalf(loot), 3);  // ceil(5/2)
+  EXPECT_EQ(loot, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(queued(d), (std::vector<int>{4, 5}));
+  int newest = 0;
+  ASSERT_TRUE(d.popBack(newest));
+  EXPECT_EQ(newest, 5);  // the owner keeps popping LIFO
+
+  // Through the pool: a dry worker steals from its ring successor, queues
+  // the loot oldest first, and runs the deepest stolen task.
+  sync::StealPool<int> pool(2);
+  for (int t = 1; t <= 5; ++t) pool.spawn(0, t);
+  std::vector<TreeWorker> workers = treeWorkers(pool, /*limit=*/1);
+  ASSERT_TRUE(pool.step(1, workers[1]));
+  EXPECT_EQ(workers[1].steals, (std::vector<std::pair<int, int>>{{0, 3}}));
+  EXPECT_EQ(workers[1].order, (std::vector<int>{3}));
+  EXPECT_EQ(queued(pool.deque(1)), (std::vector<int>{1, 2}));
+  EXPECT_EQ(queued(pool.deque(0)), (std::vector<int>{4, 5}));
+  EXPECT_FALSE(pool.exhausted());
+}
+
+TEST(StealPool, SelfSpawningTasksRunExactlyOnceAndThePoolTerminates) {
+  constexpr int kTasks = (1 << 12) - 1;  // a complete binary tree
+  for (const int W : {1, 2, 4}) {
+    sync::StealPool<int> pool(W);
+    std::vector<std::atomic<int>> runs(kTasks);
+    std::vector<TreeWorker> workers = treeWorkers(pool, kTasks);
+    for (TreeWorker& w : workers) w.runs = &runs;
+    pool.spawn(0, 0);
+    pool.run([&](int w) { pool.work(w, workers[static_cast<std::size_t>(w)]); });
+    EXPECT_TRUE(pool.exhausted()) << W;
+    for (int t = 0; t < kTasks; ++t) ASSERT_EQ(runs[static_cast<std::size_t>(t)].load(), 1) << W;
+    std::size_t total = 0;
+    for (const TreeWorker& w : workers) total += w.order.size();
+    EXPECT_EQ(total, static_cast<std::size_t>(kTasks)) << W;
+  }
+}
+
+TEST(StealPool, OneWorkerRunsOnTheCallingThread) {
+  sync::StealPool<int> pool(1);
+  std::vector<TreeWorker> workers = treeWorkers(pool, /*limit=*/255);
+  pool.spawn(0, 0);
+  std::set<std::thread::id> bodies;
+  pool.run([&](int w) {
+    bodies.insert(std::this_thread::get_id());
+    pool.work(w, workers[static_cast<std::size_t>(w)]);
+  });
+  const std::set<std::thread::id> caller{std::this_thread::get_id()};
+  EXPECT_EQ(bodies, caller);
+  EXPECT_EQ(workers[0].threads, caller);
+  EXPECT_EQ(workers[0].order.size(), 255u);
+  // Depth-first: the owner always pops its newest task, so each task runs
+  // right after the parent that spawned it last.
+  EXPECT_EQ(workers[0].order[0], 0);
+  EXPECT_EQ(workers[0].order[1], 2);
+}
+
+TEST(StealPool, RaisedStopDrainsEveryWorker) {
+  // Every task spawns two more, so only the stop flag can end the run.
+  constexpr long kStopAfter = 2000;
+  constexpr int kWorkers = 4;
+  sync::StealPool<int> pool(kWorkers);
+  std::atomic<long> ran{0};
+  std::atomic<bool> stop{false};
+  std::vector<TreeWorker> workers = treeWorkers(pool, /*limit=*/0);
+  for (TreeWorker& w : workers) {
+    w.ran = &ran;
+    w.stop = &stop;
+    w.stop_after = kStopAfter;
+  }
+  std::vector<std::atomic<bool>> returned(kWorkers);
+  pool.spawn(0, 0);
+  pool.run([&](int w) {
+    pool.work(w, workers[static_cast<std::size_t>(w)]);
+    returned[static_cast<std::size_t>(w)].store(true);
+  });
+  for (int w = 0; w < kWorkers; ++w) EXPECT_TRUE(returned[static_cast<std::size_t>(w)].load()) << w;
+  EXPECT_TRUE(stop.load());
+  EXPECT_FALSE(pool.exhausted());  // halted workers leave their tasks queued
+  // After the stop each worker finishes at most the task it was running.
+  EXPECT_LT(ran.load(), kStopAfter + kWorkers);
 }
 
 }  // namespace
