@@ -1,20 +1,19 @@
-// LP substrate bench: dense tableau vs sparse revised simplex on the
+// LP substrate bench: the sparse simplex behind `LpSolver` on the
 // paper-scale SDR2/SDR3 MILP formulations.
 //
-// The dense engine cannot run at this scale (its tableau is ~25 GiB on SDR2,
-// ~54 GiB on SDR3 — exactly why `max_lp_gib` used to decline these
-// formulations), so the bench reports the dense side as the memory estimate
-// it would need, measures dense-vs-sparse wall time head-to-head on a
-// smaller generated formulation where both fit, and then solves the SDR
-// root relaxations on the sparse engine with a peak-RSS proxy
-// (getrusage ru_maxrss) to show they stay in the tens-of-MiB range.
+// Every relaxation on the solve path runs on the sparse engine. The bench
+// first checks it against the dense reference tableau (`SimplexSolver`, the
+// test oracle) on a small generated formulation where both fit, then solves
+// the SDR root relaxations through `LpSolver` with a peak-RSS proxy
+// (getrusage ru_maxrss) to show they stay in the tens-of-MiB range. (A
+// dense tableau would need ~25 GiB on SDR2 and ~54 GiB on SDR3.)
 //
 // Output: human-readable table plus one JSON document on stdout (between
 // BEGIN-JSON / END-JSON markers) for downstream tooling.
 //
 // Usage: bench_lp_sparse [--smoke] [--reopt]
 //   --smoke  only the small generated formulation (for CI: seconds, not
-//            minutes, and still fails loudly if an engine regresses).
+//            minutes, and still fails loudly if the engines disagree).
 //   --reopt  warm node-reoptimization throughput instead of cold solves:
 //            the branch & bound pattern (solve the root, then reoptimize a
 //            sequence of single-bound-change child nodes from the root
@@ -65,55 +64,38 @@ struct RunRecord {
   long refactorizations = 0;
   double seconds = 0.0;
   long peak_rss_mib = 0;
-  bool executed = false;  ///< false: engine skipped, est_gib is the story
 };
 
 void printRecord(const RunRecord& r) {
-  if (r.executed) {
-    std::printf("%-10s %-7s %6d x %-6d nnz=%-8ld %-10s obj=%-12.4f iters=%-7ld refac=%-4ld %7.2fs peak=%ld MiB\n",
-                r.name.c_str(), r.engine.c_str(), r.constrs, r.vars, r.nnz, r.status.c_str(),
-                r.objective, r.iterations, r.refactorizations, r.seconds, r.peak_rss_mib);
-  } else {
-    std::printf("%-10s %-7s %6d x %-6d nnz=%-8ld not run: would need ~%.1f GiB\n",
-                r.name.c_str(), r.engine.c_str(), r.constrs, r.vars, r.nnz, r.est_gib);
-  }
+  std::printf("%-10s %-7s %6d x %-6d nnz=%-8ld %-10s obj=%-12.4f iters=%-7ld refac=%-4ld %7.2fs peak=%ld MiB\n",
+              r.name.c_str(), r.engine.c_str(), r.constrs, r.vars, r.nnz, r.status.c_str(),
+              r.objective, r.iterations, r.refactorizations, r.seconds, r.peak_rss_mib);
 }
 
-RunRecord solveWith(const std::string& name, const lp::Model& m, lp::LpEngine engine,
+/// Solves `m` through `LpSolver`, or through the dense reference
+/// `SimplexSolver` when `reference` is set. `est_gib` is the model's sparse
+/// working-set estimate either way.
+RunRecord solveWith(const std::string& name, const lp::Model& m, bool reference,
                     double time_limit) {
   RunRecord rec;
   rec.name = name;
-  rec.engine = lp::toString(engine);
   rec.vars = m.numVars();
   rec.constrs = m.numConstrs();
   rec.nnz = lp::sparse::countNonzeros(m);
-  rec.est_gib = engine == lp::LpEngine::kSparse ? lp::LpSolver::sparseFootprintGib(m)
-                                                : lp::LpSolver::denseTableauGib(m);
+  rec.est_gib = lp::LpSolver::sparseFootprintGib(m);
   lp::LpSolver::Options opt;
-  opt.engine = engine;
   opt.core.max_iterations = 2000000;
   opt.core.time_limit_seconds = time_limit;
   Stopwatch watch;
-  const lp::LpResult r = lp::LpSolver(opt).solve(m);
+  const lp::LpResult r = reference ? lp::SimplexSolver(opt.core).solve(m)
+                                   : lp::LpSolver(opt).solve(m);
+  rec.engine = lp::toString(r.engine);
   rec.status = lp::toString(r.status);
   rec.objective = r.objective;
   rec.iterations = r.iterations;
   rec.refactorizations = r.refactorizations;
   rec.seconds = watch.seconds();
   rec.peak_rss_mib = peakRssMib();
-  rec.executed = true;
-  return rec;
-}
-
-RunRecord skipRecord(const std::string& name, const lp::Model& m, lp::LpEngine engine) {
-  RunRecord rec;
-  rec.name = name;
-  rec.engine = lp::toString(engine);
-  rec.vars = m.numVars();
-  rec.constrs = m.numConstrs();
-  rec.nnz = lp::sparse::countNonzeros(m);
-  rec.est_gib = engine == lp::LpEngine::kSparse ? lp::LpSolver::sparseFootprintGib(m)
-                                                : lp::LpSolver::denseTableauGib(m);
   return rec;
 }
 
@@ -131,15 +113,12 @@ void writeJson(const std::vector<RunRecord>& records) {
     w.key("constrs").value(r.constrs);
     w.key("nnz").value(r.nnz);
     w.key("estimated_gib").value(r.est_gib);
-    w.key("executed").value(r.executed);
-    if (r.executed) {
-      w.key("status").value(r.status);
-      w.key("objective").value(r.objective);
-      w.key("iterations").value(r.iterations);
-      w.key("refactorizations").value(r.refactorizations);
-      w.key("seconds").value(r.seconds);
-      w.key("peak_rss_mib").value(r.peak_rss_mib);
-    }
+    w.key("status").value(r.status);
+    w.key("objective").value(r.objective);
+    w.key("iterations").value(r.iterations);
+    w.key("refactorizations").value(r.refactorizations);
+    w.key("seconds").value(r.seconds);
+    w.key("peak_rss_mib").value(r.peak_rss_mib);
     w.endObject();
   }
   w.endArray();
@@ -244,7 +223,6 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
     ub0[static_cast<std::size_t>(j)] = m.var(j).ub;
   }
   lp::LpSolver::Options opt;
-  opt.engine = lp::LpEngine::kSparse;
   opt.core.max_iterations = 2000000;
   opt.core.time_limit_seconds = 1200;
   Stopwatch root_watch;
@@ -511,7 +489,7 @@ int main(int argc, char** argv) {
   std::vector<RunRecord> records;
   bool ok = true;
 
-  // ---- head-to-head where both engines fit: a generated formulation ----
+  // ---- the sparse engine against the dense reference: a generated formulation ----
   model::GeneratorOptions gopt;
   gopt.num_regions = 3;
   gopt.num_nets = 2;
@@ -523,34 +501,30 @@ int main(int argc, char** argv) {
     return 1;
   }
   fp::MilpFormulation small_form(*small, *part, {});
-  const RunRecord sd = solveWith("gen-small", small_form.model(), lp::LpEngine::kDense, 120);
-  const RunRecord ss = solveWith("gen-small", small_form.model(), lp::LpEngine::kSparse, 120);
+  const RunRecord sd = solveWith("gen-small", small_form.model(), /*reference=*/true, 120);
+  const RunRecord ss = solveWith("gen-small", small_form.model(), /*reference=*/false, 120);
   printRecord(sd);
   printRecord(ss);
   records.push_back(sd);
   records.push_back(ss);
   if (sd.status != "optimal" || ss.status != "optimal") {
     std::printf("REGRESSION: gen-small must solve to optimality on both engines "
-                "(dense=%s sparse=%s)\n",
+                "(reference=%s sparse=%s)\n",
                 sd.status.c_str(), ss.status.c_str());
     ok = false;
   } else if (std::abs(sd.objective - ss.objective) > 1e-5 * (1 + std::abs(sd.objective))) {
-    std::printf("MISMATCH: dense and sparse disagree on gen-small\n");
+    std::printf("MISMATCH: the sparse engine disagrees with the dense reference on gen-small\n");
     ok = false;
   }
 
-  // ---- paper scale: sparse solves, dense is reported as an estimate ----
+  // ---- paper scale: root relaxations through LpSolver ----
   if (!smoke) {
     for (const int reloc : {2, 3}) {
       model::FloorplanProblem sdr = model::makeSdrProblem(dev);
       model::addSdrRelocations(sdr, reloc);
       fp::MilpFormulation form(sdr, *part, {});
       const std::string name = "SDR" + std::to_string(reloc);
-      const RunRecord dense_est = skipRecord(name, form.model(), lp::LpEngine::kDense);
-      printRecord(dense_est);
-      records.push_back(dense_est);
-      const RunRecord sparse_run =
-          solveWith(name, form.model(), lp::LpEngine::kSparse, 1200);
+      const RunRecord sparse_run = solveWith(name, form.model(), /*reference=*/false, 1200);
       printRecord(sparse_run);
       records.push_back(sparse_run);
       ok = ok && sparse_run.status == "optimal";

@@ -9,10 +9,13 @@
 //    status and final cost (wasted frames, wire length) must be identical
 //    to the 1-worker run — thread count may change which optimal plan is
 //    returned, never how good it is.
-//  * milp — the from-scratch MILP branch & bound over a fixed set of
-//    random binary programs (the work-stealing engine with per-worker dual
-//    reoptimizers and stolen-basis adoption). Statuses and objectives must
-//    match the 1-worker solve on every instance.
+//  * milp — the from-scratch MILP branch & bound (the work-stealing engine
+//    with per-worker dual reoptimizers and stolen-basis adoption) on a fixed
+//    set of generated floorplanning formulations: two regions and two nets
+//    on an 8-column x 3-row CCBCCDCC device, no relocation, wasted-frames
+//    objective (the first lexicographic stage of MILP-O). Each proves in
+//    under a second. Statuses and objectives must match the 1-worker solve
+//    on every instance.
 //
 // The headline figure is node throughput (B&B nodes per second) at 8
 // workers vs 1. The >= 3x acceptance bar only means anything with >= 8
@@ -26,7 +29,7 @@
 //  * every plan passes model::check (gated).
 //
 // Usage: bench_parallel_bb [--smoke]
-//   --smoke  same workloads with a reduced MILP trial count, gates
+//   --smoke  same workloads with a reduced MILP instance count, gates
 //            enforced, JSON to BENCH_parallel_bb.smoke.json (CI artifact;
 //            the tracked full-run snapshot at the repo root is untouched).
 //   full     writes BENCH_parallel_bb.json into the current directory.
@@ -40,12 +43,14 @@
 
 #include "bench_meta.hpp"
 #include "device/builders.hpp"
+#include "fp/formulation.hpp"
 #include "io/json.hpp"
 #include "milp/bb.hpp"
 #include "model/floorplan.hpp"
+#include "model/generator.hpp"
 #include "model/problem.hpp"
+#include "partition/columnar.hpp"
 #include "search/solver.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
@@ -96,29 +101,22 @@ RunFigures runSearch(const model::FloorplanProblem& problem, int threads,
   return f;
 }
 
-/// A random knapsack-style binary program. Capacities sit at half the row
-/// weight so the LP relaxation is fractional and branch & bound actually
-/// builds a tree (a loose capacity would solve at the root).
-lp::Model randomBinaryProgram(Rng& rng) {
-  lp::Model m;
-  const int n = 10 + static_cast<int>(rng.nextBelow(9));
-  for (int j = 0; j < n; ++j) m.addBinary("b" + std::to_string(j));
-  const int rows = 2 + static_cast<int>(rng.nextBelow(4));
-  for (int r = 0; r < rows; ++r) {
-    lp::LinExpr e;
-    long weight = 0;
-    for (int j = 0; j < n; ++j)
-      if (rng.nextBool(0.7)) {
-        const long c = rng.nextInt(3, 9);
-        weight += c;
-        e += static_cast<double>(c) * lp::Var{j};
-      }
-    m.addConstr(e, lp::Sense::kLessEqual, static_cast<double>(weight / 2));
+/// The first `count` generated floorplanning formulations on `dev` (seeds
+/// from 1, skipping seeds the generator cannot pack).
+std::vector<lp::Model> floorplanFormulations(const device::Device& dev, int count) {
+  const auto part = partition::columnarPartition(dev);
+  std::vector<lp::Model> models;
+  if (!part) return models;
+  model::GeneratorOptions gopt;
+  gopt.num_regions = 2;
+  gopt.num_nets = 2;
+  fp::FormulationOptions fopt;
+  fopt.objective = fp::ObjectiveKind::kWastedFrames;
+  for (gopt.seed = 1; static_cast<int>(models.size()) < count && gopt.seed < 1000; ++gopt.seed) {
+    const auto problem = model::generateProblem(dev, gopt);
+    if (problem) models.push_back(fp::MilpFormulation(*problem, *part, fopt).model());
   }
-  lp::LinExpr obj;
-  for (int j = 0; j < n; ++j) obj += static_cast<double>(rng.nextInt(1, 12)) * lp::Var{j};
-  m.setObjective(obj, lp::ObjSense::kMaximize);
-  return m;
+  return models;
 }
 
 RunFigures runMilp(const std::vector<lp::Model>& models, int threads,
@@ -208,11 +206,10 @@ int main(int argc, char** argv) {
               s8t.status.c_str(), s8t.seconds, s8t.nodes, s8t.nodes_per_sec,
               trace_rec.retained(), traced_slowdown);
 
-  // MILP engine over a fixed random instance set (same models both runs).
-  Rng rng(20240841);
-  std::vector<lp::Model> models;
-  const int trials = smoke ? 12 : 40;
-  for (int i = 0; i < trials; ++i) models.push_back(randomBinaryProgram(rng));
+  // MILP engine over a fixed formulation set (same models both runs).
+  static const device::Device milp_dev = device::columnarFromPattern("gen-milp", "CCBCCDCC", 3);
+  const std::vector<lp::Model> models = floorplanFormulations(milp_dev, smoke ? 3 : 12);
+  const int trials = static_cast<int>(models.size());
   std::vector<std::string> st1, st8;
   std::vector<double> obj1, obj8;
   const RunFigures m1 = runMilp(models, 1, &st1, &obj1);

@@ -1,10 +1,11 @@
 // Ablation C: microbenchmarks of the solver substrate (google-benchmark):
-// simplex scaling on random dense LPs, branch-and-bound on knapsacks, and
+// `LpSolver` scaling on random LPs with dense coefficient rows,
+// branch-and-bound on knapsacks, and
 // the exact-search candidate machinery.
 #include <benchmark/benchmark.h>
 
 #include "device/builders.hpp"
-#include "lp/simplex.hpp"
+#include "lp/lp_solver.hpp"
 #include "milp/bb.hpp"
 #include "model/problem.hpp"
 #include "partition/columnar.hpp"
@@ -38,7 +39,7 @@ lp::Model randomLp(int n, int m, std::uint64_t seed) {
 void BM_SimplexRandomDense(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const lp::Model model = randomLp(n, n, 7);
-  lp::SimplexSolver solver;
+  const lp::LpSolver solver;
   for (auto _ : state) {
     const lp::LpResult r = solver.solve(model);
     benchmark::DoNotOptimize(r.objective);

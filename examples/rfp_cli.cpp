@@ -239,10 +239,10 @@ int cmdSolve(const std::string& device_spec, const std::string& problem_path,
   std::printf("solver=%s status=%s nodes=%ld time=%.2fs\n", driver::toString(res.backend),
               driver::toString(res.status), res.nodes, res.seconds);
   if (res.lp.solves > 0) {
-    std::printf("lp: engine=%s solves=%ld iterations=%ld refactorizations=%ld "
+    std::printf("lp: solves=%ld iterations=%ld refactorizations=%ld "
                 "warm-start-hit-rate=%.2f\n",
-                res.lp.engine.c_str(), res.lp.solves, res.lp.iterations,
-                res.lp.refactorizations, res.lp.warmStartHitRate());
+                res.lp.solves, res.lp.iterations, res.lp.refactorizations,
+                res.lp.warmStartHitRate());
     std::printf("lp: pivots primal=%ld dual=%ld bound-flips=%ld ft-updates=%ld "
                 "dual-reopt-rate=%.2f\n",
                 res.lp.primal_pivots, res.lp.dual_pivots, res.lp.bound_flips,

@@ -35,8 +35,7 @@ Device parseDevice(const std::string& text) {
       name = tok[1];
     } else if (kw == "rows") {
       RFP_CHECK_MSG(tok.size() == 2, "line " << lineno << ": rows expects one integer");
-      rows = std::stoi(tok[1]);
-      RFP_CHECK_MSG(rows > 0, "line " << lineno << ": rows must be positive");
+      rows = str::parseInt(tok[1], 1, str::kMaxCount, lineno, "rows");
     } else if (kw == "tiletype") {
       RFP_CHECK_MSG(tok.size() >= 4 && tok[1].size() == 1,
                     "line " << lineno << ": tiletype <char> <name> frames=<n> ...");
@@ -46,9 +45,9 @@ Device parseDevice(const std::string& text) {
         const auto kv = str::split(tok[i], '=');
         RFP_CHECK_MSG(kv.size() == 2, "line " << lineno << ": bad attribute '" << tok[i] << "'");
         if (kv[0] == "frames")
-          t.frames = std::stoi(kv[1]);
+          t.frames = str::parseInt(kv[1], 1, str::kMaxCount, lineno, "frames");
         else
-          t.resources[kv[0]] = std::stoi(kv[1]);
+          t.resources[kv[0]] = str::parseInt(kv[1], 0, str::kMaxCount, lineno, kv[0] + " count");
       }
       RFP_CHECK_MSG(t.frames > 0, "line " << lineno << ": tiletype needs frames=<n> > 0");
       RFP_CHECK_MSG(!char_to_type.count(tok[1][0]),
@@ -61,8 +60,11 @@ Device parseDevice(const std::string& text) {
     } else if (kw == "forbidden") {
       RFP_CHECK_MSG(tok.size() == 5 || tok.size() == 6,
                     "line " << lineno << ": forbidden <x> <y> <w> <h> [label]");
+      const auto coord = [&](std::size_t i, const char* what) {
+        return str::parseInt(tok[i], 0, str::kMaxCount, lineno, std::string("forbidden ") + what);
+      };
       Forbidden f;
-      f.r = Rect{std::stoi(tok[1]), std::stoi(tok[2]), std::stoi(tok[3]), std::stoi(tok[4])};
+      f.r = Rect{coord(1, "x"), coord(2, "y"), coord(3, "w"), coord(4, "h")};
       if (tok.size() == 6) f.label = tok[5];
       forbidden.push_back(std::move(f));
     } else {

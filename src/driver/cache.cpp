@@ -373,29 +373,30 @@ CacheLookup ResultCache::lookup(const Fingerprint& fp, const model::FloorplanPro
   // short-circuit. A remaining structural match seeds instead of serving.
   const EntryList::iterator hit = proof != lru_.end() ? proof : exact;
   if (hit != lru_.end()) {
-    out.response = hit->canonical;
+    SolveResponse response = hit->canonical;
     bool ok = true;
-    if (out.response.hasSolution()) {
+    if (response.hasSolution()) {
       model::Floorplan remapped;
-      ok = fromCanonicalPlan(fp, problem, out.response.plan, &remapped);
-      if (ok) out.response.plan = std::move(remapped);
+      ok = fromCanonicalPlan(fp, problem, response.plan, &remapped);
+      if (ok) response.plan = std::move(remapped);
     }
     if (ok) {
       // A served hit performed no engine work: zero the work telemetry so
       // batch-level aggregation does not count the original solve's nodes
       // and pivots once per duplicate (status/plan/costs stay — they are
       // the answer, not the work).
-      out.response.nodes = 0;
-      out.response.lp = LpStats{};
-      out.response.incumbent_published = 0;
-      out.response.incumbent_adopted = 0;
-      out.response.cutoff_prunes = 0;
+      response.nodes = 0;
+      response.lp = LpStats{};
+      response.incumbent_published = 0;
+      response.incumbent_adopted = 0;
+      response.cutoff_prunes = 0;
+      out.response = std::move(response);
       out.outcome = CacheOutcome::kHit;
       touch(hit);
       ++stats_.hits;
       return out;
     }
-    out.response = SolveResponse{};  // shape mismatch: treat as a miss
+    // Shape mismatch: treat as a miss.
   }
   if (best != lru_.end()) {
     model::Floorplan remapped;

@@ -145,10 +145,9 @@ struct SolveRequest {
 };
 
 /// LP substrate telemetry of a MILP-backed solve (zero `solves` otherwise):
-/// which simplex engine ran, how hard it worked, and how often branch &
-/// bound could reoptimize a node from its parent's basis.
+/// how hard the sparse simplex worked, and how often branch & bound could
+/// reoptimize a node from its parent's basis.
 struct LpStats {
-  std::string engine;           ///< "dense" / "sparse"; empty when no LP ran
   long solves = 0;              ///< LP relaxations solved
   long iterations = 0;          ///< total simplex iterations
   long warm_start_hits = 0;     ///< solves that adopted a parent basis

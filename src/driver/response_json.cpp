@@ -75,7 +75,6 @@ std::string solveResponseToJson(const model::FloorplanProblem& problem,
   }
   if (response.lp.solves > 0) {
     w.key("lp").beginObject();
-    w.key("engine").value(response.lp.engine);
     w.key("solves").value(response.lp.solves);
     w.key("iterations").value(response.lp.iterations);
     w.key("refactorizations").value(response.lp.refactorizations);

@@ -48,13 +48,10 @@ struct MilpFloorplannerOptions {
   double time_limit_seconds = 0.0;
   /// Declines to solve (kNoSolution, with a detail note) when the LP
   /// substrate's working set for this formulation would exceed this many
-  /// GiB. The estimate matches the engine `milp.lp` would actually run:
-  /// the dense tableau is (m+1) x (n+2m) doubles (~25 GiB on SDR2, which is
-  /// why such formulations used to be declined outright), while the sparse
-  /// revised simplex is billed per constraint-matrix nonzero (~0.1 GiB on
-  /// the same formulation), so paper-scale instances now pass the gate and
-  /// solve on the sparse engine. The gate still protects the dense path
-  /// when the engine selection is pinned to kDense. <= 0: no cap.
+  /// GiB, before the solve allocates it. The sparse simplex is billed per
+  /// constraint-matrix nonzero (`LpSolver::sparseFootprintGib`, ~0.1 GiB on
+  /// an SDR2 formulation), so paper-scale instances pass the default cap.
+  /// <= 0: no cap.
   double max_lp_gib = 1.0;
   /// Incumbent exchange channel (driver portfolios). For O, a published
   /// plan better than the heuristic's is adopted as the warm start (HO
@@ -74,7 +71,9 @@ struct FpResult {
   long nodes = 0;
   std::string detail;  ///< per-stage diagnostics
   // LP substrate telemetry, aggregated over the MILP stages.
-  lp::LpEngine lp_engine = lp::LpEngine::kAuto;  ///< kAuto until a MILP stage ran
+  /// Always kSparse: every relaxation runs on the sparse engine. Kept only
+  /// because perfbench's runner reads it for its `lp.dense_share` figure.
+  lp::LpEngine lp_engine = lp::LpEngine::kSparse;
   long lp_solves = 0;
   long lp_iterations = 0;
   long lp_warm_hits = 0;

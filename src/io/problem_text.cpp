@@ -14,7 +14,7 @@ namespace {
 
 /// A net or relocation weight: the whole token must be a finite number
 /// >= 0, since the cost bounds of every engine assume non-negative weights.
-double parseWeight(const std::string& token, int lineno, const char* what) {
+double parseWeight(const std::string& token, int lineno, std::string_view what) {
   double v = 0.0;
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, v);
@@ -62,7 +62,8 @@ model::FloorplanProblem parseProblem(const std::string& text, const device::Devi
         const int type = dev.tileTypeId(kv[0]);
         RFP_CHECK_MSG(type >= 0, "line " << lineno << ": unknown tile type '" << kv[0]
                                          << "' on device '" << dev.name() << "'");
-        tiles[static_cast<std::size_t>(type)] = std::stoi(kv[1]);
+        tiles[static_cast<std::size_t>(type)] =
+            str::parseInt(kv[1], 0, str::kMaxCount, lineno, kv[0] + " count");
       }
       region_index[tok[1]] = problem.addRegion(model::RegionSpec{tok[1], std::move(tiles)});
     } else if (kw == "net") {
@@ -88,7 +89,7 @@ model::FloorplanProblem parseProblem(const std::string& text, const device::Devi
         const auto kv = str::split(tok[i], '=');
         RFP_CHECK_MSG(kv.size() == 2, "line " << lineno << ": bad attribute '" << tok[i] << "'");
         if (kv[0] == "count") {
-          req.count = std::stoi(kv[1]);
+          req.count = str::parseInt(kv[1], 1, str::kMaxCount, lineno, "relocation count");
           have_count = true;
         } else if (kv[0] == "weight") {
           req.weight = parseWeight(kv[1], lineno, "relocation weight");
@@ -108,17 +109,13 @@ model::FloorplanProblem parseProblem(const std::string& text, const device::Devi
         for (std::size_t i = 2; i < tok.size(); ++i) {
           const auto kv = str::split(tok[i], '=');
           RFP_CHECK_MSG(kv.size() == 2, "line " << lineno << ": bad weight '" << tok[i] << "'");
-          const double v = std::stod(kv[1]);
-          if (kv[0] == "q1")
-            w.q1_wirelength = v;
-          else if (kv[0] == "q2")
-            w.q2_perimeter = v;
-          else if (kv[0] == "q3")
-            w.q3_wasted = v;
-          else if (kv[0] == "q4")
-            w.q4_relocation = v;
-          else
-            RFP_CHECK_MSG(false, "line " << lineno << ": unknown weight '" << kv[0] << "'");
+          double* slot = kv[0] == "q1"   ? &w.q1_wirelength
+                         : kv[0] == "q2" ? &w.q2_perimeter
+                         : kv[0] == "q3" ? &w.q3_wasted
+                         : kv[0] == "q4" ? &w.q4_relocation
+                                         : nullptr;
+          RFP_CHECK_MSG(slot, "line " << lineno << ": unknown weight '" << kv[0] << "'");
+          *slot = parseWeight(kv[1], lineno, "objective weight " + kv[0]);
         }
         problem.setWeights(w);
         problem.setLexicographic(false);

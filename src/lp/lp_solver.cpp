@@ -6,12 +6,6 @@
 
 namespace rfp::lp {
 
-double LpSolver::denseTableauGib(const Model& model) {
-  const double m = model.numConstrs();
-  const double n = model.numVars();
-  return (m + 1) * (n + 2 * m + 2) * 8.0 / (1024.0 * 1024.0 * 1024.0);
-}
-
 double LpSolver::sparseFootprintGib(const Model& model) {
   const double nnz = static_cast<double>(sparse::countNonzeros(model));
   const double vars = static_cast<double>(model.numVars()) + model.numConstrs();
@@ -20,12 +14,6 @@ double LpSolver::sparseFootprintGib(const Model& model) {
   // covers the dozen dense working vectors (bounds, costs, weights,
   // FTRAN/BTRAN scratch, basis arrays).
   return (nnz * 96.0 + vars * 160.0) / (1024.0 * 1024.0 * 1024.0);
-}
-
-LpEngine LpSolver::resolveEngine(const Model& model) const {
-  if (options_.engine != LpEngine::kAuto) return options_.engine;
-  return denseTableauGib(model) * 1024.0 > options_.auto_dense_limit_mib ? LpEngine::kSparse
-                                                                         : LpEngine::kDense;
 }
 
 LpResult LpSolver::solve(const Model& model) const {
@@ -41,50 +29,46 @@ LpResult LpSolver::solve(const Model& model) const {
 LpResult LpSolver::solve(const Model& model, std::span<const double> lb,
                          std::span<const double> ub, const sparse::Basis* warm,
                          const sparse::CscMatrix* csc) const {
-  if (resolveEngine(model) == LpEngine::kSparse) {
-    // Without a caller-provided cache, build the CSC matrix once here: a
-    // declined dual attempt would otherwise build it a second time for the
-    // primal fallback.
-    sparse::CscMatrix local;
-    if (!csc) {
-      local = sparse::CscMatrix::fromModel(model);
-      csc = &local;
-    }
-    LpResult declined;
-    if (warm && options_.dual_reopt) {
-      // Warm reoptimization fast path: a bound change leaves the supplied
-      // basis dual feasible, so the dual simplex usually finishes in a few
-      // pivots. It declines (nullopt) when the basis is not dual feasible
-      // after bound-flip repair; the primal engine then takes over.
-      sparse::DualSimplexSolver::Options dopt;
-      dopt.core = options_.core;
-      dopt.refactor_interval = options_.refactor_interval;
-      dopt.lu = options_.lu;
-      if (std::optional<LpResult> dual =
-              sparse::DualSimplexSolver(dopt).solve(model, lb, ub, *warm, csc, &declined))
-        return *std::move(dual);
-    }
-    sparse::RevisedSimplexSolver::Options sopt;
-    sopt.core = options_.core;
-    sopt.refactor_interval = options_.refactor_interval;
-    sopt.pricing = options_.pricing;
-    sopt.lu = options_.lu;
-    LpResult res = sparse::RevisedSimplexSolver(sopt).solve(model, lb, ub, warm, csc);
-    // Fold the declined dual attempt's effort into the report so the
-    // telemetry reflects actual solver work, not just the engine that won.
-    res.iterations += declined.iterations;
-    res.dual_pivots += declined.dual_pivots;
-    res.bound_flips += declined.bound_flips;
-    res.ft_updates += declined.ft_updates;
-    res.refactorizations += declined.refactorizations;
-    res.ftran_sparse += declined.ftran_sparse;
-    res.ftran_dense += declined.ftran_dense;
-    res.btran_sparse += declined.btran_sparse;
-    res.btran_dense += declined.btran_dense;
-    res.dse_updates += declined.dse_updates;
-    return res;
+  // Without a caller-provided cache, build the CSC matrix once here: a
+  // declined dual attempt would otherwise build it a second time for the
+  // primal fallback.
+  sparse::CscMatrix local;
+  if (!csc) {
+    local = sparse::CscMatrix::fromModel(model);
+    csc = &local;
   }
-  return SimplexSolver(options_.core).solve(model, lb, ub);
+  LpResult declined;
+  if (warm && options_.dual_reopt) {
+    // Warm reoptimization fast path: a bound change leaves the supplied
+    // basis dual feasible, so the dual simplex usually finishes in a few
+    // pivots. It declines (nullopt) when the basis is not dual feasible
+    // after bound-flip repair; the primal engine then takes over.
+    sparse::DualSimplexSolver::Options dopt;
+    dopt.core = options_.core;
+    dopt.refactor_interval = options_.refactor_interval;
+    dopt.lu = options_.lu;
+    if (std::optional<LpResult> dual =
+            sparse::DualSimplexSolver(dopt).solve(model, lb, ub, *warm, csc, &declined))
+      return *std::move(dual);
+  }
+  sparse::RevisedSimplexSolver::Options sopt;
+  sopt.core = options_.core;
+  sopt.refactor_interval = options_.refactor_interval;
+  sopt.lu = options_.lu;
+  LpResult res = sparse::RevisedSimplexSolver(sopt).solve(model, lb, ub, warm, csc);
+  // Fold the declined dual attempt's effort into the report so the
+  // telemetry reflects actual solver work, not just the engine that won.
+  res.iterations += declined.iterations;
+  res.dual_pivots += declined.dual_pivots;
+  res.bound_flips += declined.bound_flips;
+  res.ft_updates += declined.ft_updates;
+  res.refactorizations += declined.refactorizations;
+  res.ftran_sparse += declined.ftran_sparse;
+  res.ftran_dense += declined.ftran_dense;
+  res.btran_sparse += declined.btran_sparse;
+  res.btran_dense += declined.btran_dense;
+  res.dse_updates += declined.dse_updates;
+  return res;
 }
 
 }  // namespace rfp::lp

@@ -1,8 +1,9 @@
 // Mixed-integer linear model container (the Gurobi-like API layer).
 //
 // A Model stores variables (bounds + type), linear constraints and a single
-// linear objective. It performs no solving itself: `SimplexSolver` handles
-// the continuous relaxation and `milp::MilpSolver` handles integrality.
+// linear objective. It performs no solving itself: `LpSolver`
+// (lp/lp_solver.hpp, the sparse simplex) handles the continuous relaxation
+// and `milp::MilpSolver` handles integrality.
 #pragma once
 
 #include <limits>

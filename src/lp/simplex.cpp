@@ -21,7 +21,6 @@ const char* toString(LpStatus s) noexcept {
 
 const char* toString(LpEngine e) noexcept {
   switch (e) {
-    case LpEngine::kAuto: return "auto";
     case LpEngine::kDense: return "dense";
     case LpEngine::kSparse: return "sparse";
   }

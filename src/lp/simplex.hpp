@@ -1,8 +1,12 @@
-// Two-phase primal simplex for LPs with bounded variables.
+// Two-phase primal simplex for LPs with bounded variables: the dense
+// reference engine.
 //
-// This is the continuous-relaxation engine under the branch-and-bound MILP
-// solver (DESIGN.md §3 substitution 1: the paper relied on a commercial
-// branch-and-cut solver; we implement the substrate from scratch).
+// It is not on the solve path. Branch & bound and every other caller solve
+// through `LpSolver` (lp/lp_solver.hpp), which runs the sparse revised and
+// dual simplex (lp/sparse/). This full-tableau solver shares no code with
+// them, so the tests and `bench_lp_sparse` use it as an independent oracle
+// on small models. This header also holds the types both engines share
+// (`LpResult`, `LpStatus`, `SimplexSolver::Options`).
 //
 // Algorithm: full-tableau primal simplex in standard form with
 //  * finite lower bounds shifted to zero,
@@ -12,11 +16,9 @@
 //  * Dantzig pricing with an automatic switch to Bland's rule after a run of
 //    degenerate pivots (anti-cycling).
 //
-// Intended problem scale: up to a few thousand rows/columns — the sizes
-// produced by the floorplanning formulations on unit-test devices. Larger
-// formulations (paper-scale SDR relocation instances) go through the sparse
-// revised simplex in lp/sparse/; `LpSolver` (lp/lp_solver.hpp) picks the
-// engine automatically from the model's memory footprint.
+// Intended problem scale: up to a few thousand rows/columns. Its working
+// set is (m+1) x (n+2m) doubles, so an SDR2-scale formulation (~40k rows)
+// would need ~25 GiB.
 #pragma once
 
 #include <atomic>
@@ -42,9 +44,9 @@ enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit, kTimeLimit 
 
 [[nodiscard]] const char* toString(LpStatus s) noexcept;
 
-/// Which LP substrate solves a model: the dense two-phase tableau below, the
-/// sparse revised simplex (lp/sparse/), or an automatic size-based choice.
-enum class LpEngine { kAuto, kDense, kSparse };
+/// Which LP engine produced a result: the dense reference tableau below or
+/// the sparse revised/dual simplex (lp/sparse/) that `LpSolver` runs.
+enum class LpEngine { kDense, kSparse };
 
 [[nodiscard]] const char* toString(LpEngine e) noexcept;
 

@@ -94,7 +94,7 @@ class Worker {
       bs_.computeXb(f_);
       computeDuals();
       // The adopted basis is new geometry: restart the steepest-edge
-      // reference at ones (exact for a slack basis, a Devex-style
+      // reference at ones (exact for a slack basis, an approximate
       // reference otherwise; the recurrence keeps it exact from here).
       std::fill(w_.begin(), w_.end(), 1.0);
     }
@@ -186,9 +186,7 @@ class Worker {
   void refactorizeTracked() {
     const long repairs_before = bs_.repairs;
     bs_.refactorize(f_);
-    if (bs_.repairs != repairs_before &&
-        opt_.pricing == DualSimplexSolver::DualPricing::kSteepestEdge)
-      std::fill(w_.begin(), w_.end(), 1.0);
+    if (bs_.repairs != repairs_before) std::fill(w_.begin(), w_.end(), 1.0);
   }
 
   /// Pivot budget for one warm reoptimization before giving up to the
@@ -306,12 +304,9 @@ class Worker {
   LpStatus iterate(long& iters, const Deadline& deadline) {
     int degenerate_streak = 0;
     int consecutive_recoveries = 0;
-    // Devex restarts its reference framework per round. Steepest-edge
-    // weights are exact row norms maintained by the recurrence across
-    // rounds and across hot-path reoptimizations — resetting them here is
-    // precisely the crutch this rule replaces.
-    const bool dse = opt_.pricing == DualSimplexSolver::DualPricing::kSteepestEdge;
-    if (!dse) std::fill(w_.begin(), w_.end(), 1.0);  // fresh dual Devex framework
+    // The steepest-edge weights are exact row norms maintained by the
+    // recurrence across rounds and across hot-path reoptimizations; they are
+    // not reset here.
     std::vector<Candidate> cands;
     std::vector<int> flips;
     while (true) {
@@ -509,7 +504,7 @@ class Worker {
       if (dual_pivots_ - base_dual_pivots_ > effortLimit()) {
         // A warm reoptimization is supposed to take a handful of pivots; a
         // solve that wanders past this budget (hyper-degenerate instances
-        // where dual Devex row pricing loses its way) is cheaper to redo
+        // where row pricing loses its way) is cheaper to redo
         // on the primal engine than to finish here.
         stalled_ = true;
         return LpStatus::kIterLimit;
@@ -527,44 +522,32 @@ class Worker {
       d_[uz(e)] = 0.0;
 
       // ---- row-weight update from the entering column ----
-      const double are2 = pivot_col * pivot_col;
+      // Forrest–Goldfarb exact steepest-edge recurrence: with
+      // tau = B^-1 rho_r (through the *old* factors — the FT update has not
+      // been applied yet),
+      //   beta_p' = beta_p - 2 (alpha_pq / alpha_rq) tau_p
+      //                    + (alpha_pq / alpha_rq)^2 beta_r.
       const double wr = w_[uz(p_row)];
-      if (dse) {
-        // Forrest–Goldfarb exact steepest-edge recurrence: with
-        // tau = B^-1 rho_r (through the *old* factors — the FT update has
-        // not been applied yet),
-        //   beta_p' = beta_p - 2 (alpha_pq / alpha_rq) tau_p
-        //                    + (alpha_pq / alpha_rq)^2 beta_r.
-        tau_.copyFrom(rho_);
-        bs_.lu.ftranSparse(tau_);
-        for (const int p : alpha_.idx) {
-          if (p == p_row) continue;
-          const double r = alpha_.val[uz(p)] / pivot_col;
-          const double upd = w_[uz(p)] - 2.0 * r * tau_.val[uz(p)] + r * r * wr;
-          // Cauchy–Schwarz safeguard: the new rows of B^-1 satisfy
-          // beta_p' beta_r' >= (b_p' . b_r')^2 with b_p' . b_r' =
-          // (tau_p - r beta_r) / alpha_rq, so beta_p' >= (tau_p - r beta_r)^2
-          // / beta_r. Exact weights satisfy the bound identically; weights
-          // carried from an inexact cold-adopt init (all ones on a non-slack
-          // basis) would otherwise be driven through zero by the true tau
-          // term, collapse to the floor, and make this row's pricing score
-          // explode — the degenerate-wandering mode the floor alone cannot
-          // prevent.
-          const double cs = tau_.val[uz(p)] - r * wr;
-          w_[uz(p)] = std::max({upd, cs * cs / wr, kDseWeightFloor});
-        }
-        w_[uz(p_row)] = std::max(wr / are2, kDseWeightFloor);
-        ++dse_updates_;
-      } else {
-        // Dual Devex reference-framework approximation.
-        for (const int p : alpha_.idx) {
-          if (p == p_row) continue;
-          const double ap = alpha_.val[uz(p)];
-          w_[uz(p)] = std::max(w_[uz(p)], ap * ap / are2 * wr);
-        }
-        w_[uz(p_row)] = std::max(wr / are2, 1.0);
-        if (w_[uz(p_row)] > 1e12) std::fill(w_.begin(), w_.end(), 1.0);
+      tau_.copyFrom(rho_);
+      bs_.lu.ftranSparse(tau_);
+      for (const int p : alpha_.idx) {
+        if (p == p_row) continue;
+        const double r = alpha_.val[uz(p)] / pivot_col;
+        const double upd = w_[uz(p)] - 2.0 * r * tau_.val[uz(p)] + r * r * wr;
+        // Cauchy–Schwarz safeguard: the new rows of B^-1 satisfy
+        // beta_p' beta_r' >= (b_p' . b_r')^2 with b_p' . b_r' =
+        // (tau_p - r beta_r) / alpha_rq, so beta_p' >= (tau_p - r beta_r)^2
+        // / beta_r. Exact weights satisfy the bound identically; weights
+        // carried from an inexact cold-adopt init (all ones on a non-slack
+        // basis) would otherwise be driven through zero by the true tau
+        // term, collapse to the floor, and make this row's pricing score
+        // explode — the degenerate-wandering mode the floor alone cannot
+        // prevent.
+        const double cs = tau_.val[uz(p)] - r * wr;
+        w_[uz(p)] = std::max({upd, cs * cs / wr, kDseWeightFloor});
       }
+      w_[uz(p_row)] = std::max(wr / (pivot_col * pivot_col), kDseWeightFloor);
+      ++dse_updates_;
 
       // ---- Forrest–Tomlin update ----
       if (!bs_.lu.updateColumn(p_row, spike_)) {
@@ -629,7 +612,7 @@ class Worker {
   std::vector<char> colmark_;   ///< arow_ occupancy (parallel to arow_)
   std::vector<int> coltouch_;   ///< columns with a live arow_ entry
   std::vector<char> rowmark_;   ///< flip_col_ index-set membership scratch
-  std::vector<double> w_;       ///< row pricing weights (exact DSE or Devex)
+  std::vector<double> w_;       ///< exact dual steepest-edge row weights
   std::vector<double> cb_, dualy_;
   IndexedVector alpha_, rho_, tau_, flip_col_;
   BasisLu::Spike spike_;
@@ -686,8 +669,8 @@ struct DualReoptimizer::Impl {
   /// or infeasible verdicts).
   std::shared_ptr<const Basis> live;
   /// Circuit breaker: consecutive give-ups. Some subtrees (hyper-degenerate
-  /// instances at the largest scales) defeat dual Devex row pricing on
-  /// every node; after `breaker_strikes` consecutive failures the
+  /// instances at the largest scales) defeat dual row pricing on every
+  /// node; after `breaker_strikes` consecutive failures the
   /// reoptimizer stops burning the effort budget and lets the primal
   /// engine carry the next `breaker_cooldown` nodes. The breaker is a
   /// cool-down, not a kill switch: after the cool-down one probe attempt

@@ -10,7 +10,10 @@
 // Algorithm notes:
 //  * works on the same standard form, bounds and statuses as the primal
 //    engine (simplex_state.hpp), and the same Forrest–Tomlin-updated LU;
-//  * leaving-row selection by dual Devex reference weights (row pricing);
+//  * leaving-row selection by exact dual steepest edge: the row norms
+//    beta_p = ||B^-T e_p||^2 are kept by the Forrest–Goldfarb recurrence
+//    (one extra hyper-sparse FTRAN per pivot) and persist across warm
+//    hot-path reoptimizations;
 //  * bound-flip ratio test (BFRT): ratio candidates are scanned in dual-step
 //    order, and boxed candidates whose bound flip cannot yet restore the
 //    row's feasibility are flipped without a basis change — one FTRAN
@@ -37,19 +40,9 @@ namespace rfp::lp::sparse {
 
 class DualSimplexSolver {
  public:
-  /// Leaving-row pricing rule. Steepest edge maintains the exact row norms
-  /// beta_p = ||B^-T e_p||^2 by the Forrest–Goldfarb recurrence (one extra
-  /// hyper-sparse FTRAN per pivot) and persists them across warm hot-path
-  /// reoptimizations; Devex approximates them from a reference framework
-  /// reset each solve. Steepest edge is the default: on hyper-degenerate
-  /// trees Devex's drifting weights pick near-parallel rows and the solve
-  /// wanders past its effort budget.
-  enum class DualPricing { kDevex, kSteepestEdge };
-
   struct Options {
     /// Shared tolerances and limits (see lp/simplex.hpp).
     SimplexSolver::Options core;
-    DualPricing pricing = DualPricing::kSteepestEdge;
     /// Hard cap on Forrest–Tomlin updates between refactorizations, on top
     /// of the stability and fill triggers; <= 0 disables the cap (see
     /// revised_simplex.hpp — warm reoptimizations stay far below it).
@@ -61,8 +54,8 @@ class DualSimplexSolver {
     int breaker_strikes = 3;
     /// Calls declined while the breaker is tripped before one probe attempt
     /// is let through again. A hyper-degenerate subtree that defeats dual
-    /// Devex on every node trips the breaker locally, but the rest of the
-    /// tree gets the warm path back as soon as a probe succeeds.
+    /// row pricing on every node trips the breaker locally, but the rest of
+    /// the tree gets the warm path back as soon as a probe succeeds.
     int breaker_cooldown = 16;
   };
 

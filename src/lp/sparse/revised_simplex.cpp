@@ -94,11 +94,11 @@ class Worker {
  private:
   // ---- the simplex loop ----------------------------------------------------
   //
-  // Pricing weights start at all ones for both rules: Devex's reference
-  // framework and *projected* steepest edge both take the starting basis as
-  // the reference. (Seeding steepest edge with exact column norms instead
-  // was measured slower on the big-M floorplanning formulations — huge
-  // norms starve exactly the columns worth entering.)
+  // Pricing weights start at all ones: *projected* steepest edge takes the
+  // starting basis as the reference. (Seeding it with exact column norms
+  // instead was measured slower on the big-M floorplanning formulations —
+  // huge norms starve exactly the columns worth entering.) The weights
+  // describe basis geometry, so both phases share them.
 
   /// True when basic position p currently violates a bound beyond feas_tol.
   enum class Feas { kOk, kBelow, kAbove };
@@ -113,10 +113,6 @@ class Worker {
   LpStatus iterate(bool phase1, long& iters, const Deadline& deadline) {
     int degenerate_streak = 0;
     int consecutive_recoveries = 0;
-    // Devex restarts its reference framework per phase; steepest-edge
-    // weights describe basis geometry, which phases share.
-    if (opt_.pricing == Pricing::kDevex)
-      std::fill(weights_.begin(), weights_.end(), 1.0);
     while (true) {
       if (++iters > opt_.core.max_iterations) return LpStatus::kIterLimit;
       // Every iteration: at SDR scale one pivot costs milliseconds, so a
@@ -308,8 +304,7 @@ class Worker {
       degenerate_streak = (t_best < 1e-10) ? degenerate_streak + 1 : 0;
 
       // Steepest edge needs tau = B^-T (B^-1 a_q) through the old factors.
-      const bool pse = !bland && opt_.pricing == Pricing::kSteepestEdge;
-      if (pse) {
+      if (!bland) {
         tau_.copyFrom(alpha_);
         bs_.lu.btranSparse(tau_);
       }
@@ -361,15 +356,10 @@ class Worker {
           const double ar = arow_[uz(j)];
           if (ar == 0.0) continue;
           const double r = ar / arq;
-          if (pse) {
-            // Forrest–Goldfarb: gamma_j' = gamma_j - 2 r (a_j . tau) + r^2
-            // gamma_q, floored at the exact lower bound 1 + r^2.
-            const double g =
-                weights_[uz(j)] - 2.0 * r * f_.columnDot(tau_.val, j) + r * r * wq;
-            weights_[uz(j)] = std::max(g, 1.0 + r * r);
-          } else {
-            weights_[uz(j)] = std::max(weights_[uz(j)], r * r * wq);
-          }
+          // Forrest–Goldfarb: gamma_j' = gamma_j - 2 r (a_j . tau) + r^2
+          // gamma_q, floored at the exact lower bound 1 + r^2.
+          const double g = weights_[uz(j)] - 2.0 * r * f_.columnDot(tau_.val, j) + r * r * wq;
+          weights_[uz(j)] = std::max(g, 1.0 + r * r);
         }
         weights_[uz(leaving)] = std::max(wq / arq2, 1.0);
         ++dse_updates_;
@@ -408,7 +398,7 @@ class Worker {
   long ft_updates_ = 0;
   long dse_updates_ = 0;
 
-  std::vector<double> weights_;  ///< pricing reference weights (Devex or PSE)
+  std::vector<double> weights_;  ///< projected steepest-edge reference weights
   IndexedVector alpha_, rho_, tau_;  ///< hyper-sparse solve vectors
   std::vector<double> cb_, dual_;    ///< basic cost row and dual sweep (dense)
   std::vector<double> arow_;         ///< pivot-row scatter over columns (size nn)

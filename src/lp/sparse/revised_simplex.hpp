@@ -1,10 +1,11 @@
 // Sparse revised simplex for LPs with bounded variables.
 //
-// The paper-scale engine behind the `Model`/`LpResult` API: where the dense
-// solver (lp/simplex.hpp) materializes an (m+1) x (n+2m) tableau — ~25 GiB
-// on an SDR2 floorplanning formulation — this one keeps the constraint
-// matrix in CSC form and works with a Markowitz-factorized basis
-// (lp/sparse/lu.hpp), so the same formulation fits in tens of MB.
+// The primal engine behind `LpSolver` (every relaxation on the solve path):
+// where the dense reference solver (lp/simplex.hpp) materializes an
+// (m+1) x (n+2m) tableau — ~25 GiB on an SDR2 floorplanning formulation —
+// this one keeps the constraint matrix in CSC form and works with a
+// Markowitz-factorized basis (lp/sparse/lu.hpp), so the same formulation
+// fits in tens of MB.
 //
 // Algorithm notes:
 //  * standard form Ax + s = b with one slack per row; slack bounds encode
@@ -15,9 +16,8 @@
 //  * phase 1 minimizes the total bound violation of the basic variables
 //    (no artificial columns — the slack basis is always available);
 //  * projected steepest-edge pricing (Forrest–Goldfarb reference weights
-//    updated each pivot through the same FTRAN/BTRAN machinery), with Devex
-//    available as an option and Bland's rule after a run of degenerate
-//    pivots (anti-cycling);
+//    updated each pivot through the same FTRAN/BTRAN machinery), with
+//    Bland's rule after a run of degenerate pivots (anti-cycling);
 //  * FTRAN/BTRAN through the LU factors with Forrest–Tomlin updates per
 //    basis change; refactorization is stability- and fill-triggered (plus a
 //    recovery refactorization whenever the entering column's pivot
@@ -38,13 +38,6 @@
 
 namespace rfp::lp::sparse {
 
-/// Primal pricing rule of the sparse engine.
-enum class Pricing {
-  kDevex,         ///< reference-framework Devex (no extra BTRAN per pivot)
-  kSteepestEdge,  ///< projected steepest edge (one extra BTRAN per pivot,
-                  ///< usually far fewer pivots)
-};
-
 class RevisedSimplexSolver {
  public:
   struct Options {
@@ -59,7 +52,6 @@ class RevisedSimplexSolver {
     /// periodic refresh measurably beats unbounded update chains, whose
     /// accumulated drift degrades pricing quality.
     int refactor_interval = 100;
-    Pricing pricing = Pricing::kSteepestEdge;
     BasisLu::Options lu;
   };
 

@@ -46,7 +46,6 @@ MipResult MilpSolver::solve(const lp::Model& model,
     lp::LpSolver solver(cappedLpOptions(options_, options_.time_limit_seconds));
     lp::LpResult rel = solver.solve(model);
     MipResult res;
-    res.lp_engine = rel.engine;
     addLpWork(res, rel);
     res.seconds = rel.seconds;
     switch (rel.status) {
@@ -106,7 +105,7 @@ MipResult MilpSolver::solve(const lp::Model& model,
       const lp::LpSolver lp_solver(cappedLpOptions(options_, clampedRemaining(cut_deadline)));
       // One CSC build per model version: the tree reuses it when the last
       // round adds no cut.
-      if (!root.csc && lp_solver.resolveEngine(*root.model) == lp::LpEngine::kSparse)
+      if (!root.csc)
         root.csc = std::make_shared<const lp::sparse::CscMatrix>(
             lp::sparse::CscMatrix::fromModel(*root.model));
       const lp::LpResult rel =

@@ -2,12 +2,12 @@
 //
 // This replaces the commercial branch-and-cut solver used by the paper
 // (DESIGN.md §3). Features:
-//  * LP relaxation via lp::LpSolver — the dense bounded-variable simplex on
-//    small models, the sparse revised simplex (lp/sparse/) at scale,
-//  * with the sparse engine, child nodes reoptimize from the parent node's
-//    optimal basis instead of solving each relaxation cold (the tree solves
-//    thousands of near-identical LPs; a warm solve is typically a handful
-//    of pivots),
+//  * LP relaxation via lp::LpSolver — the sparse revised simplex over CSC
+//    storage (lp/sparse/) at every model size,
+//  * child nodes reoptimize from the parent node's optimal basis through
+//    the dual simplex instead of solving each relaxation cold (the tree
+//    solves thousands of near-identical LPs; a warm solve is typically a
+//    handful of pivots),
 //  * one tree engine at every thread count (bb_parallel.cpp): workers dive
 //    depth-first from their own deques and steal the shallowest half of a
 //    peer's when dry (support/steal_pool.hpp),
@@ -66,7 +66,6 @@ struct MipResult {
   long lp_iterations = 0;
   double seconds = 0.0;
   // LP substrate telemetry (surfaced through the driver's SolveResponse).
-  lp::LpEngine lp_engine = lp::LpEngine::kDense;  ///< engine the relaxations used
   long lp_solves = 0;           ///< relaxations solved (root + nodes)
   long lp_warm_hits = 0;        ///< solves that adopted a parent basis
   long lp_refactorizations = 0; ///< sparse engine: total basis refactorizations
@@ -147,11 +146,9 @@ class MilpSolver {
     /// Called with every improving incumbent the search itself finds
     /// (integral LP optima and rounding-heuristic hits).
     std::function<void(const std::vector<double>&)> incumbent_publish;
-    /// LP substrate: engine selection (auto picks dense or sparse by model
-    /// size), shared tolerances/limits, and sparse-engine knobs.
+    /// LP substrate: shared tolerances/limits and sparse-engine knobs.
     lp::LpSolver::Options lp;
-    /// Reoptimize child nodes from the parent's optimal basis (sparse
-    /// engine only; the dense engine always solves cold). Off is only
+    /// Reoptimize child nodes from the parent's optimal basis. Off is only
     /// useful for A/B tests — results are identical either way. Warm node
     /// solves go through the dual simplex first (lp.dual_reopt) with the
     /// primal engine as fallback.

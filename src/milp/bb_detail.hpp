@@ -18,8 +18,7 @@ namespace rfp::milp::detail {
 /// What the root work of MilpSolver::solve hands a tree engine: the model
 /// the tree branches on (the caller's own, or a working copy once a cover
 /// cut was added), the presolved base bounds, the sparse matrix the root
-/// LPs already used (null: the engine builds one if the sparse engine
-/// runs), and the optimal basis of the last cut round when that round
+/// LPs already used (null: the engine builds one), and the optimal basis of the last cut round when that round
 /// solved exactly the tree's root LP (null: the root is solved cold).
 /// The engine does not copy the model.
 struct TreeRoot {

@@ -88,8 +88,7 @@ struct SharedTree {
   const MilpSolver::Options& opt;
   bool minimize = true;
   std::vector<double> base_lb, base_ub;
-  std::shared_ptr<const lp::sparse::CscMatrix> csc;  ///< sparse engine only
-  lp::LpEngine engine = lp::LpEngine::kDense;
+  std::shared_ptr<const lp::sparse::CscMatrix> csc;  ///< null when started cancelled
   Deadline deadline;
 
   /// Open nodes: queued plus being expanded. Exhausted = tree done.
@@ -493,17 +492,15 @@ MipResult runTreeSearch(TreeRoot root, const MilpSolver::Options& opt,
   shared.deterministic = opt.deterministic;
   shared.base_lb = std::move(root.lb);
   shared.base_ub = std::move(root.ub);
-  shared.engine = lp::LpSolver(opt.lp).resolveEngine(model);
   // One CSC build per tree: every node solve differs only in bounds. The
   // root LPs' matrix is reused when they ran on this same model; a tree
   // that starts cancelled solves no node and builds nothing.
-  if (shared.engine == lp::LpEngine::kSparse && !shared.externallyStopped())
+  if (!shared.externallyStopped())
     shared.csc = root.csc ? std::move(root.csc)
                           : std::make_shared<const lp::sparse::CscMatrix>(
                                 lp::sparse::CscMatrix::fromModel(model));
 
   MipResult res;
-  res.lp_engine = shared.engine;
 
   if (warm_start && model.isFeasible(*warm_start, opt.int_tol)) {
     std::vector<double> x = *std::move(warm_start);

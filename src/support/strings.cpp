@@ -1,7 +1,10 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+
+#include "support/check.hpp"
 
 namespace rfp::str {
 
@@ -51,6 +54,16 @@ std::string formatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return std::string(buf);
+}
+
+int parseInt(std::string_view token, int lo, int hi, int lineno, std::string_view what) {
+  int v = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  RFP_CHECK_MSG(ec == std::errc() && ptr == end && v >= lo && v <= hi,
+                "line " << lineno << ": " << what << " '" << token << "' must be an integer in ["
+                        << lo << ", " << hi << "]");
+  return v;
 }
 
 }  // namespace rfp::str

@@ -143,6 +143,29 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_THROW(parseDevice("tiletype C CLB frames=36\ncolumns CC\n"), CheckError);  // no rows
   EXPECT_THROW(parseDevice("tiletype C CLB frames=0\ncolumns C\nrows 1\n"), CheckError);
   EXPECT_THROW(parseDevice("bogus keyword\n"), CheckError);
+
+  // Integers are whole tokens in range: a malformed one is a located
+  // CheckError, never a truncated value or a bare std::stoi exception.
+  const auto rejects = [](const std::string& text, const std::string& what) {
+    try {
+      (void)parseDevice(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped error '" << e.what() << "' for: " << text;
+    }
+  };
+  const std::string types = "tiletype C CLB frames=36\ncolumns CC\n";
+  rejects(types + "rows 2.5\n", "line 3: rows '2.5' must be an integer");
+  rejects(types + "rows x\n", "line 3: rows 'x' must be an integer");
+  rejects(types + "rows 99999999999\n", "line 3: rows '99999999999' must be an integer");
+  rejects("tiletype C CLB frames=3e1\ncolumns C\nrows 1\n",
+          "line 1: frames '3e1' must be an integer");
+  rejects("tiletype C CLB frames=36 luts=1.5\ncolumns C\nrows 1\n",
+          "line 1: luts count '1.5' must be an integer");
+  rejects(types + "rows 4\nforbidden 0 1x 1 1\n", "line 4: forbidden y '1x' must be an integer");
+  rejects(types + "rows 4\nforbidden -1 0 1 1\n", "line 4: forbidden x '-1' must be an integer");
 }
 
 TEST(Builders, Virtex7StyleIsColumnarAndLarge) {

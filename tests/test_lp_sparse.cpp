@@ -1,11 +1,12 @@
 // Tests for the sparse LP substrate: the Markowitz LU kernel, the revised
-// simplex against the dense solver (unit cases and randomized property
-// tests), basis warm starts, engine auto-selection, and branch & bound
-// running dense-vs-sparse and warm-vs-cold.
+// simplex against the dense reference solver (unit cases and randomized
+// property tests), basis warm starts, the memory estimate, and branch &
+// bound warm-vs-cold and against a brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "binary_programs.hpp"
 #include "device/builders.hpp"
 #include "fp/formulation.hpp"
 #include "lp/lp_solver.hpp"
@@ -841,9 +842,7 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
     LinExpr obj;
     for (int j = 0; j < n; ++j) obj += static_cast<double>(rng.nextInt(1, 9)) * Var{j};
     m.setObjective(obj, ObjSense::kMaximize);
-    LpSolver::Options sopt;
-    sopt.engine = LpEngine::kSparse;
-    const LpResult first = LpSolver(sopt).solve(m);
+    const LpResult first = LpSolver().solve(m);
     ASSERT_EQ(first.status, LpStatus::kOptimal);
     const int j = static_cast<int>(rng.nextBelow(static_cast<std::uint64_t>(n)));
     m.setVarBounds(j, m.var(j).lb, std::max(m.var(j).lb, m.var(j).ub / 2.0));
@@ -852,8 +851,8 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
       lb[static_cast<std::size_t>(k)] = m.var(k).lb;
       ub[static_cast<std::size_t>(k)] = m.var(k).ub;
     }
-    const LpResult warm = LpSolver(sopt).solve(m, lb, ub, first.basis.get());
-    LpSolver::Options primal_only = sopt;
+    const LpResult warm = LpSolver().solve(m, lb, ub, first.basis.get());
+    LpSolver::Options primal_only;
     primal_only.dual_reopt = false;
     const LpResult primal = LpSolver(primal_only).solve(m, lb, ub, first.basis.get());
     const LpResult dense = SimplexSolver().solve(m);
@@ -870,40 +869,19 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
   EXPECT_GE(dual_hits, 25);  // the fast path must actually be the default
 }
 
-// ---- LpSolver dispatch -----------------------------------------------------
-
-TEST(LpSolverDispatch, AutoPicksDenseForSmallAndSparseForLarge) {
-  Model small;
-  small.addContinuous(0, 1, "x");
-  small.addConstr(LinExpr(Var{0}), Sense::kLessEqual, 1);
-  LpSolver auto_solver;
-  EXPECT_EQ(auto_solver.resolveEngine(small), LpEngine::kDense);
-
-  LpSolver::Options tiny_limit;
-  tiny_limit.auto_dense_limit_mib = 1e-9;
-  EXPECT_EQ(LpSolver(tiny_limit).resolveEngine(small), LpEngine::kSparse);
-
-  LpSolver::Options pinned;
-  pinned.engine = LpEngine::kSparse;
-  const LpResult r = LpSolver(pinned).solve(small);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_EQ(r.engine, LpEngine::kSparse);
-}
+// ---- LpSolver memory estimate ----------------------------------------------
 
 TEST(LpSolverDispatch, MemoryEstimatesScaleAsDocumented) {
   Rng rng(12);
   const Model m = randomSparseModel(rng, 40, 120);
-  // Dense: (m+1)(n+2m+2) doubles; sparse: 96 B/nonzero + 160 B/variable
-  // (documented in lp_solver.cpp) — assert the exact formulas so a unit slip
-  // (KiB/GiB confusion would mis-gate max_lp_gib) is caught.
+  // 96 B/nonzero + 160 B/variable (documented in lp_solver.cpp) — assert the
+  // exact formula so a unit slip (KiB/GiB confusion would mis-gate
+  // max_lp_gib) is caught.
   const long nnz = sparse::countNonzeros(m);
   EXPECT_GT(nnz, 0);
   constexpr double kGib = 1024.0 * 1024.0 * 1024.0;
-  EXPECT_NEAR(LpSolver::denseTableauGib(m) * kGib,
-              (120.0 + 1) * (40.0 + 2 * 120 + 2) * 8.0, 1.0);
   EXPECT_NEAR(LpSolver::sparseFootprintGib(m) * kGib,
               96.0 * static_cast<double>(nnz) + 160.0 * (40 + 120), 1.0);
-  EXPECT_LT(LpSolver::sparseFootprintGib(m), LpSolver::denseTableauGib(m));
 }
 
 }  // namespace
@@ -920,59 +898,16 @@ using lp::ObjSense;
 using lp::Sense;
 using lp::Var;
 
-Model randomBinaryProgram(Rng& rng) {
-  const int n = 4 + static_cast<int>(rng.nextBelow(8));
-  const int rows = 1 + static_cast<int>(rng.nextBelow(4));
-  Model m;
-  for (int j = 0; j < n; ++j) m.addBinary("b");
-  for (int i = 0; i < rows; ++i) {
-    LinExpr e;
-    for (int j = 0; j < n; ++j) {
-      const long c = rng.nextInt(-4, 6);
-      if (c != 0) e += static_cast<double>(c) * Var{j};
-    }
-    m.addConstr(e, rng.nextBool() ? Sense::kLessEqual : Sense::kGreaterEqual,
-                static_cast<double>(rng.nextInt(0, 12)));
-  }
-  LinExpr obj;
-  for (int j = 0; j < n; ++j) obj += static_cast<double>(rng.nextInt(-10, 10)) * Var{j};
-  m.setObjective(obj, rng.nextBool() ? ObjSense::kMaximize : ObjSense::kMinimize);
-  return m;
-}
-
-TEST(MilpSparseProperty, SparseEngineMatchesDenseEngineOnRandomPrograms) {
-  Rng rng(31415);
-  int solved = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    const Model m = randomBinaryProgram(rng);
-    MilpSolver::Options dense_opt;
-    dense_opt.lp.engine = lp::LpEngine::kDense;
-    MilpSolver::Options sparse_opt;
-    sparse_opt.lp.engine = lp::LpEngine::kSparse;
-    const MipResult rd = MilpSolver(dense_opt).solve(m);
-    const MipResult rs = MilpSolver(sparse_opt).solve(m);
-    ASSERT_EQ(rd.status, rs.status) << "trial " << trial;
-    if (rd.status != MipStatus::kOptimal) continue;
-    ++solved;
-    EXPECT_EQ(rs.lp_engine, lp::LpEngine::kSparse);
-    EXPECT_NEAR(rs.objective, rd.objective, 1e-6) << "trial " << trial;
-    EXPECT_TRUE(m.isFeasible(rs.x, 1e-6)) << "trial " << trial;
-  }
-  EXPECT_GE(solved, 25);
-}
-
 TEST(MilpSparse, WarmStartedTreeIsDeterministicAndCheaper) {
-  // Same model, sparse engine, warm starts on vs off: identical tree
-  // (node-for-node) and optimum, but warm starts must not cost more LP
-  // iterations in aggregate — that is the point of reoptimizing children
-  // from the parent basis.
+  // Same model, warm starts on vs off: identical tree (node-for-node) and
+  // optimum, but warm starts must not cost more LP iterations in aggregate
+  // — that is the point of reoptimizing children from the parent basis.
   Rng rng(2718);
   long warm_total = 0, cold_total = 0;
   int compared = 0;
   for (int trial = 0; trial < 25; ++trial) {
-    const Model m = randomBinaryProgram(rng);
+    const Model m = testutil::randomBinaryProgram(rng, 4, 8, 1);
     MilpSolver::Options base;
-    base.lp.engine = lp::LpEngine::kSparse;
     // Heuristics off so both runs expand the same tree deterministically.
     base.enable_rounding_heuristic = false;
     MilpSolver::Options warm_opt = base;
@@ -999,25 +934,21 @@ TEST(MilpSparse, WarmStartedTreeIsDeterministicAndCheaper) {
 TEST(MilpSparse, ChildNodesReoptimizeThroughDualSimplex) {
   // With warm starts on (the default), child-node reoptimization must go
   // through the dual simplex: every tree that branches reports dual-reopt
-  // solves, and the results still match the dense engine.
+  // solves, and the results still match the brute-force optimum.
   Rng rng(998877);
   int trees = 0, with_dual = 0;
   for (int trial = 0; trial < 120 && trees < 15; ++trial) {
-    const Model m = randomBinaryProgram(rng);
-    MilpSolver::Options sparse_opt;
-    sparse_opt.lp.engine = lp::LpEngine::kSparse;
-    const MipResult rs = MilpSolver(sparse_opt).solve(m);
+    const Model m = testutil::randomBinaryProgram(rng, 4, 8, 1);
+    const MipResult rs = MilpSolver().solve(m);
     if (rs.status != MipStatus::kOptimal || rs.nodes <= 1) continue;
     ++trees;
     with_dual += rs.lp_dual_reopts > 0 ? 1 : 0;
     if (rs.lp_dual_reopts > 0) {
       EXPECT_GT(rs.lp_dual_pivots + rs.lp_bound_flips, 0);
     }
-    MilpSolver::Options dense_opt;
-    dense_opt.lp.engine = lp::LpEngine::kDense;
-    const MipResult rd = MilpSolver(dense_opt).solve(m);
-    ASSERT_EQ(rd.status, MipStatus::kOptimal) << "trial " << trial;
-    EXPECT_NEAR(rs.objective, rd.objective, 1e-6) << "trial " << trial;
+    const std::optional<double> expected = testutil::bruteForceBest(m);
+    ASSERT_TRUE(expected.has_value()) << "trial " << trial;
+    EXPECT_NEAR(rs.objective, *expected, 1e-6) << "trial " << trial;
   }
   EXPECT_GE(trees, 8);
   // A parent-optimal basis is dual feasible under a bound change, so the
@@ -1042,7 +973,6 @@ TEST(MilpSparse, CscMatrixBuiltExactlyOncePerTree) {
   m.setObjective(obj, ObjSense::kMaximize);
 
   MilpSolver::Options opt;
-  opt.lp.engine = lp::LpEngine::kSparse;
   opt.enable_cover_cuts = false;  // a found cut changes the rows: one more build
   const long before = lp::sparse::CscMatrix::buildCount();
   const MipResult res = MilpSolver(opt).solve(m);
@@ -1066,10 +996,8 @@ TEST(MilpSparse, RootCutRoundsShareTheTreeMatrixWhenNoCutIsFound) {
   m.addConstr(row, Sense::kLessEqual, 2.5);  // LP point fractional: 3 + 7 + 4 > 13.5
   m.setObjective(obj, ObjSense::kMaximize);
 
-  MilpSolver::Options opt;
-  opt.lp.engine = lp::LpEngine::kSparse;
   const long before = lp::sparse::CscMatrix::buildCount();
-  const MipResult res = MilpSolver(opt).solve(m);
+  const MipResult res = MilpSolver().solve(m);
   ASSERT_EQ(res.status, MipStatus::kOptimal);
   EXPECT_GT(res.nodes, 1);  // the instance must actually branch
   EXPECT_EQ(lp::sparse::CscMatrix::buildCount() - before, 1);
@@ -1133,9 +1061,7 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
 
   const auto csc =
       std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(m));
-  lp::LpSolver::Options opt;
-  opt.engine = lp::LpEngine::kSparse;
-  const lp::LpResult root = lp::LpSolver(opt).solve(m);
+  const lp::LpResult root = lp::LpSolver().solve(m);
   ASSERT_EQ(root.status, lp::LpStatus::kOptimal);
   ASSERT_NE(root.basis, nullptr);
 

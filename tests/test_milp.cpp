@@ -5,6 +5,7 @@
 #include <cmath>
 #include <optional>
 
+#include "binary_programs.hpp"
 #include "lp/lp_solver.hpp"
 #include "milp/bb.hpp"
 #include "milp/presolve.hpp"
@@ -18,6 +19,8 @@ using lp::Model;
 using lp::ObjSense;
 using lp::Sense;
 using lp::Var;
+using testutil::bruteForceBest;
+using testutil::randomBinaryProgram;
 
 TEST(Milp, PureLpPassThrough) {
   Model m;
@@ -156,46 +159,16 @@ TEST(Milp, EqualityConstrainedAssignment) {
 
 // ---- brute-force cross-check property -------------------------------------
 
-std::optional<double> bruteForceBest(const Model& m) {
-  const int n = m.numVars();
-  std::optional<double> best;
-  for (int mask = 0; mask < (1 << n); ++mask) {
-    std::vector<double> x(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) x[static_cast<std::size_t>(j)] = (mask >> j) & 1;
-    if (!m.isFeasible(x, 1e-9)) continue;
-    const double obj = m.evalObjective(x);
-    if (!best || (m.objSense() == ObjSense::kMaximize ? obj > *best : obj < *best)) best = obj;
-  }
-  return best;
-}
-
 TEST(MilpProperty, MatchesBruteForceOnRandomBinaryPrograms) {
   // Thread count may change which optimal point is returned, never the
   // status or the objective: the brute-force oracle decides both at every
   // worker count.
   Rng rng(99);
+  int optimal = 0;
   for (int trial = 0; trial < 80; ++trial) {
-    const int n = 3 + static_cast<int>(rng.nextBelow(8));  // up to 10 binaries
-    const int rows = 1 + static_cast<int>(rng.nextBelow(4));
-    Model m;
-    std::vector<Var> vars;
-    for (int j = 0; j < n; ++j) vars.push_back(m.addBinary("b"));
-    for (int i = 0; i < rows; ++i) {
-      LinExpr e;
-      for (int j = 0; j < n; ++j) {
-        const long c = rng.nextInt(-4, 6);
-        if (c != 0) e += static_cast<double>(c) * vars[static_cast<std::size_t>(j)];
-      }
-      const double rhs = static_cast<double>(rng.nextInt(0, 12));
-      m.addConstr(e, rng.nextBool() ? Sense::kLessEqual : Sense::kGreaterEqual, rhs);
-    }
-    LinExpr obj;
-    for (int j = 0; j < n; ++j)
-      obj += static_cast<double>(rng.nextInt(-10, 10)) * vars[static_cast<std::size_t>(j)];
-    const ObjSense sense = rng.nextBool() ? ObjSense::kMaximize : ObjSense::kMinimize;
-    m.setObjective(obj, sense);
-
+    const Model m = randomBinaryProgram(rng, 3, 8, 1);  // up to 10 binaries
     const std::optional<double> expected = bruteForceBest(m);
+    optimal += expected ? 1 : 0;
     for (const int threads : {1, 2, 8}) {
       MilpSolver::Options opt;
       opt.threads = threads;
@@ -209,35 +182,16 @@ TEST(MilpProperty, MatchesBruteForceOnRandomBinaryPrograms) {
       }
     }
   }
+  // Both verdicts must be exercised, and enough optima to mean something.
+  EXPECT_GE(optimal, 25);
+  EXPECT_LT(optimal, 80);
 }
 
 // ---- work-stealing workers --------------------------------------------------
 
-Model randomBinaryProgram(Rng& rng) {
-  const int n = 6 + static_cast<int>(rng.nextBelow(9));  // up to 14 binaries
-  const int rows = 2 + static_cast<int>(rng.nextBelow(4));
-  Model m;
-  std::vector<Var> vars;
-  for (int j = 0; j < n; ++j) vars.push_back(m.addBinary("b"));
-  for (int i = 0; i < rows; ++i) {
-    LinExpr e;
-    for (int j = 0; j < n; ++j) {
-      const long c = rng.nextInt(-4, 6);
-      if (c != 0) e += static_cast<double>(c) * vars[static_cast<std::size_t>(j)];
-    }
-    m.addConstr(e, rng.nextBool() ? Sense::kLessEqual : Sense::kGreaterEqual,
-                static_cast<double>(rng.nextInt(0, 12)));
-  }
-  LinExpr obj;
-  for (int j = 0; j < n; ++j)
-    obj += static_cast<double>(rng.nextInt(-10, 10)) * vars[static_cast<std::size_t>(j)];
-  m.setObjective(obj, rng.nextBool() ? ObjSense::kMaximize : ObjSense::kMinimize);
-  return m;
-}
-
 TEST(MilpParallel, WorkerTelemetryAggregates) {
   Rng rng(7);
-  const Model m = randomBinaryProgram(rng);
+  const Model m = randomBinaryProgram(rng, 6, 9, 2);
   MilpSolver::Options opt;
   opt.threads = 4;
   const MipResult r = MilpSolver(opt).solve(m);
@@ -256,7 +210,7 @@ TEST(MilpParallel, DeterministicReplayIsReproducible) {
   // same steal schedule, same replay digest, same answer.
   Rng rng(42);
   for (int trial = 0; trial < 5; ++trial) {
-    const Model m = randomBinaryProgram(rng);
+    const Model m = randomBinaryProgram(rng, 6, 9, 2);
     MilpSolver::Options opt;
     opt.threads = 4;
     opt.deterministic = true;

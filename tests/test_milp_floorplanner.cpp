@@ -6,8 +6,12 @@
 #include <thread>
 
 #include "device/builders.hpp"
+#include "fp/formulation.hpp"
 #include "fp/milp_floorplanner.hpp"
+#include "lp/lp_solver.hpp"
+#include "model/generator.hpp"
 #include "model/problem.hpp"
+#include "partition/columnar.hpp"
 #include "search/solver.hpp"
 #include "support/timer.hpp"
 
@@ -107,6 +111,61 @@ TEST(MilpFloorplanner, InfeasibleProblemReported) {
   opt.algorithm = Algorithm::kO;
   const FpResult res = MilpFloorplanner(opt).solve(p);
   EXPECT_FALSE(res.hasSolution());
+}
+
+// ---- memory admission gate ---------------------------------------------------
+//
+// `max_lp_gib` bills the sparse simplex's working set for each stage's
+// formulation and declines before the solve allocates it.
+
+TEST(MilpFloorplanner, AdmissionGateDeclinesBeforeAnyLpSolve) {
+  const device::Device dev = device::columnarFromPattern("gen", "CCBCCDCC", 3);
+  model::GeneratorOptions gopt;
+  gopt.num_regions = 2;
+  gopt.num_nets = 2;
+  std::optional<model::FloorplanProblem> p;
+  for (gopt.seed = 1; gopt.seed <= 16 && !p; ++gopt.seed) p = model::generateProblem(dev, gopt);
+  ASSERT_TRUE(p.has_value());
+  MilpFloorplannerOptions opt;
+  opt.algorithm = Algorithm::kO;
+  opt.lexicographic = p->lexicographic();
+
+  MilpFloorplannerOptions tiny = opt;
+  tiny.max_lp_gib = 1e-9;  // ~1 byte: below any formulation
+  const FpResult declined = MilpFloorplanner(tiny).solve(*p);
+  EXPECT_EQ(declined.status, FpStatus::kNoSolution);
+  EXPECT_NE(declined.detail.find("declined: sparse LP ~"), std::string::npos) << declined.detail;
+  EXPECT_NE(declined.detail.find(" GiB"), std::string::npos) << declined.detail;
+  EXPECT_EQ(declined.lp_solves, 0);
+  EXPECT_EQ(declined.nodes, 0);
+
+  // The same instance under the default cap is admitted and solved.
+  const FpResult admitted = MilpFloorplanner(opt).solve(*p);
+  ASSERT_TRUE(admitted.hasSolution()) << admitted.detail;
+  EXPECT_EQ(admitted.detail.find("declined"), std::string::npos) << admitted.detail;
+  EXPECT_GT(admitted.lp_solves, 0);
+}
+
+TEST(MilpFloorplanner, DefaultAdmissionGateAdmitsSdr1) {
+  const device::Device dev = device::virtex5FX70T();
+  model::FloorplanProblem p = model::makeSdrProblem(dev);
+  model::addSdrRelocations(p, 1);
+  const auto part = partition::columnarPartition(dev);
+  ASSERT_TRUE(part.has_value());
+  const MilpFloorplannerOptions opt;
+  FormulationOptions fo;
+  fo.objective = ObjectiveKind::kWastedFrames;  // the lexicographic first stage
+  const MilpFormulation form(p, *part, fo);
+  EXPECT_LT(lp::LpSolver::sparseFootprintGib(form.model()), opt.max_lp_gib);
+
+  // End to end: the first stage passes the gate and reaches the LP solver.
+  MilpFloorplannerOptions run = opt;
+  run.algorithm = Algorithm::kO;
+  run.lexicographic = p.lexicographic();
+  run.time_limit_seconds = 1.0;
+  const FpResult res = MilpFloorplanner(run).solve(p);
+  EXPECT_EQ(res.detail.find("declined"), std::string::npos) << res.detail;
+  EXPECT_GT(res.lp_solves, 0) << res.detail;
 }
 
 // ---- cancellation and deadlines at paper scale ------------------------------

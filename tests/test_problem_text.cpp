@@ -140,7 +140,22 @@ INSTANTIATE_TEST_SUITE_P(
                  "line 3: net weight 'a'"},
         BadInput{"negative_relocation_weight",
                  "region a CLB=2\nrelocate a count=1 soft weight=-1\n",
-                 "line 2: relocation weight '-1'"}),
+                 "line 2: relocation weight '-1'"},
+        // Counts are whole-token integers: no silent truncation to a prefix.
+        BadInput{"fractional_tile_count", "region a CLB=2.7\n",
+                 "line 1: CLB count '2.7' must be an integer"},
+        BadInput{"huge_float_tile_count", "region a CLB=1e308\n",
+                 "line 1: CLB count '1e308' must be an integer"},
+        BadInput{"overflowing_tile_count", "region a CLB=99999999999\n",
+                 "line 1: CLB count '99999999999' must be an integer"},
+        BadInput{"non_numeric_relocation_count", "region a CLB=2\nrelocate a count=x\n",
+                 "line 2: relocation count 'x' must be an integer"},
+        BadInput{"float_relocation_count", "region a CLB=2\nrelocate a count=1e9\n",
+                 "line 2: relocation count '1e9' must be an integer"},
+        BadInput{"nan_objective_weight", "region a CLB=2\nobjective weighted q1=nan\n",
+                 "line 2: objective weight q1 'nan' must be a finite number >= 0"},
+        BadInput{"negative_objective_weight", "region a CLB=2\nobjective weighted q2=-1\n",
+                 "line 2: objective weight q2 '-1' must be a finite number >= 0"}),
     [](const ::testing::TestParamInfo<BadInput>& info) { return info.param.name; });
 
 TEST(ProblemText, ValidationRejectsBadWeightsFromAnySource) {
